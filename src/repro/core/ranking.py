@@ -12,11 +12,17 @@ heterogeneous processors:
 
 Bottom levels drive the priority queues of HEFT and ILHA; top levels
 define the iso-level decomposition of the first ILHA variant.
+
+The heuristics read bottom levels and the priority rank from the
+kernel statics of a (graph, platform) pair, which compute them once
+with :func:`bottom_levels_indexed` and cache them until the graph
+mutates; :func:`bottom_levels` and :func:`priority_order` return fresh
+copies of those cached values.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Mapping
+from collections.abc import Callable, Hashable, Mapping, Sequence
 
 from .platform import Platform
 from .taskgraph import TaskGraph
@@ -55,6 +61,42 @@ def bottom_levels_from(
     return bl
 
 
+def bottom_levels_indexed(
+    topo_ix: Sequence[int],
+    succ_rows: Sequence[Sequence[int]],
+    edst: Sequence[int],
+    edata: Sequence[float],
+    weights: Sequence[float],
+    node_factor: float,
+    edge_factor: float,
+) -> list[float]:
+    """Section 4.1 bottom levels over interned (CSR) arrays.
+
+    ``bl[i] = weights[i] * node_factor + max over edges e leaving i of
+    (edata[e] * edge_factor + bl[edst[e]])`` — the same floating-point
+    operations, in the same order, as :func:`bottom_levels_from` over
+    :func:`averaged_weights` / :func:`averaged_comms`, so the results
+    are identical float for float.
+    """
+    bl = [0.0] * len(weights)
+    for i in reversed(topo_ix):
+        tail = 0.0
+        for e in succ_rows[i]:
+            v = edata[e] * edge_factor + bl[edst[e]]
+            if v > tail:
+                tail = v
+        bl[i] = weights[i] * node_factor + tail
+    return bl
+
+
+def rank_of(order: Sequence[int]) -> list[int]:
+    """Inverse permutation: ``rank[order[r]] == r``."""
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    return rank
+
+
 def top_levels_from(
     graph: TaskGraph,
     node_cost: Mapping[TaskId, float],
@@ -74,8 +116,14 @@ def top_levels_from(
 
 
 def bottom_levels(graph: TaskGraph, platform: Platform) -> dict[TaskId, float]:
-    """Paper Section 4.1 bottom levels with heterogeneous averaging."""
-    return bottom_levels_from(graph, averaged_weights(graph, platform), averaged_comms(graph, platform))
+    """Paper Section 4.1 bottom levels with heterogeneous averaging.
+
+    A fresh dict over the values cached on the pair's kernel statics.
+    """
+    from ..kernel import compile_statics
+
+    kernel = compile_statics(graph, platform)
+    return dict(zip(kernel.tasks, kernel.bottom_levels()))
 
 
 def top_levels(graph: TaskGraph, platform: Platform) -> dict[TaskId, float]:
@@ -128,7 +176,8 @@ def priority_order(
     fixes a specific tie order).
     """
     if key is None:
-        bl = bottom_levels(graph, platform)
-        index = graph.task_index()
-        key = lambda v: (-bl[v], index[v])  # noqa: E731
+        from ..kernel import compile_statics
+
+        kernel = compile_statics(graph, platform)
+        return [kernel.tasks[i] for i in kernel.priority_list()]
     return sorted(graph.tasks(), key=key)

@@ -13,6 +13,8 @@ code gets a stable, validated interface with cached traversal orders.
 
 from __future__ import annotations
 
+import heapq
+import math
 from collections.abc import Hashable, Iterable, Iterator, Mapping
 from typing import Any, NamedTuple
 
@@ -26,6 +28,14 @@ WEIGHT_KEY = "weight"
 DATA_KEY = "data"
 
 TaskId = Hashable
+
+
+def _cost(value: float, what: str) -> float:
+    """``value`` as a float, or :class:`GraphError` unless finite and >= 0."""
+    value = float(value)
+    if not (value >= 0 and math.isfinite(value)):
+        raise GraphError(f"{what} must be finite and >= 0, got {value}")
+    return value
 
 
 class GraphMaps(NamedTuple):
@@ -62,7 +72,9 @@ class TaskGraph:
       :mod:`repro.graphs` use strings or tuples.
     * Weights must be non-negative finite numbers.  Zero-weight tasks are
       allowed — the COMM-SCHED reduction of the paper's appendix uses them.
-    * The graph must be acyclic; this is checked once at construction.
+    * The graph must be acyclic.  :meth:`validate` checks it through the
+      cached topological order, so repeated checks are free until the
+      next mutation.
     """
 
     __slots__ = ("_g", "_name", "_topo", "_index", "_maps", "_kernel_cache")
@@ -87,9 +99,7 @@ class TaskGraph:
     # ------------------------------------------------------------------
     def add_task(self, task: TaskId, weight: float = 1.0) -> TaskId:
         """Add a task with computation cost ``weight``; returns the id."""
-        weight = float(weight)
-        if weight < 0 or weight != weight or weight == float("inf"):
-            raise GraphError(f"task {task!r}: weight must be finite and >= 0, got {weight}")
+        weight = _cost(weight, f"task {task!r}: weight")
         if task in self._g:
             raise GraphError(f"duplicate task id {task!r}")
         self._g.add_node(task, **{WEIGHT_KEY: weight})
@@ -98,9 +108,7 @@ class TaskGraph:
 
     def add_dependency(self, src: TaskId, dst: TaskId, data: float = 0.0) -> None:
         """Add a precedence edge ``src -> dst`` carrying ``data`` items."""
-        data = float(data)
-        if data < 0 or data != data or data == float("inf"):
-            raise GraphError(f"edge {src!r}->{dst!r}: data must be finite and >= 0, got {data}")
+        data = _cost(data, f"edge {src!r}->{dst!r}: data")
         for node in (src, dst):
             if node not in self._g:
                 raise GraphError(f"unknown task {node!r} in edge {src!r}->{dst!r}")
@@ -115,24 +123,19 @@ class TaskGraph:
         """Replace the computation cost of ``task``."""
         if task not in self._g:
             raise GraphError(f"unknown task {task!r}")
-        if weight < 0:
-            raise GraphError(f"task {task!r}: weight must be >= 0, got {weight}")
-        self._g.nodes[task][WEIGHT_KEY] = float(weight)
+        self._g.nodes[task][WEIGHT_KEY] = _cost(weight, f"task {task!r}: weight")
         self._invalidate()
 
     def set_data(self, src: TaskId, dst: TaskId, data: float) -> None:
         """Replace the communication volume of edge ``src -> dst``."""
         if not self._g.has_edge(src, dst):
             raise GraphError(f"unknown edge {src!r}->{dst!r}")
-        if data < 0:
-            raise GraphError(f"edge {src!r}->{dst!r}: data must be >= 0, got {data}")
-        self._g.edges[src, dst][DATA_KEY] = float(data)
+        self._g.edges[src, dst][DATA_KEY] = _cost(data, f"edge {src!r}->{dst!r}: data")
         self._invalidate()
 
     def scale_data(self, factor: float) -> "TaskGraph":
         """Multiply every edge's data volume by ``factor`` (in place)."""
-        if factor < 0:
-            raise GraphError(f"scale factor must be >= 0, got {factor}")
+        factor = _cost(factor, "scale factor")
         for u, v in self._g.edges:
             self._g.edges[u, v][DATA_KEY] *= factor
         self._invalidate()
@@ -231,26 +234,42 @@ class TaskGraph:
     # traversal
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Raise :class:`GraphError` unless the graph is a DAG."""
-        if not nx.is_directed_acyclic_graph(self._g):
-            cycle = nx.find_cycle(self._g)
-            raise GraphError(f"task graph contains a cycle: {cycle}")
+        """Raise :class:`GraphError` unless the graph is a DAG.
+
+        A graph is valid exactly when its topological order exists, so
+        this is free while the cached order is (until the next mutation).
+        """
+        if self._topo is None:
+            self.topological_order()
 
     def topological_order(self) -> tuple[TaskId, ...]:
         """A deterministic topological order (cached).
 
-        Uses lexicographic-by-insertion-index Kahn's algorithm so repeated
+        Kahn's algorithm with a min-heap of insertion indices: among the
+        ready tasks the earliest-inserted always goes first, so repeated
         calls — and therefore every heuristic built on top — are fully
-        deterministic regardless of hash randomization.
+        deterministic regardless of hash randomization.  Raises
+        :class:`GraphError` naming a cycle when the graph has one.
         """
         if self._topo is None:
-            order = {v: i for i, v in enumerate(self._g.nodes)}
-            try:
-                self._topo = tuple(
-                    nx.lexicographical_topological_sort(self._g, key=order.__getitem__)
-                )
-            except nx.NetworkXUnfeasible:
-                raise GraphError("task graph contains a cycle") from None
+            maps = self.as_maps()
+            index, succs = maps.index, maps.succs
+            tasks = list(index)
+            remaining = [len(maps.preds[v]) for v in tasks]
+            heap = [i for i, d in enumerate(remaining) if not d]  # sorted: a heap
+            order = []
+            while heap:
+                task = tasks[heapq.heappop(heap)]
+                order.append(task)
+                for child in succs[task]:
+                    j = index[child]
+                    remaining[j] -= 1
+                    if not remaining[j]:
+                        heapq.heappush(heap, j)
+            if len(order) < len(tasks):
+                cycle = nx.find_cycle(self._g)
+                raise GraphError(f"task graph contains a cycle: {cycle}")
+            self._topo = tuple(order)
         return self._topo
 
     def task_index(self) -> Mapping[TaskId, int]:

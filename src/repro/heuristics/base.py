@@ -45,6 +45,7 @@ from time import perf_counter
 
 from ..core.exceptions import ConfigurationError, SchedulingError
 from ..core.platform import Platform
+from ..core.ranking import rank_of
 from ..core.schedule import Schedule
 from ..core.taskgraph import TaskGraph
 from ..kernel import compile_statics
@@ -139,7 +140,6 @@ class SchedulerState:
         "maps",
         "kernel",
         "schedule",
-        "finish",
         "insertion",
         "builder",
         "booker",
@@ -193,9 +193,6 @@ class SchedulerState:
         else:
             with stats.span("phase.statics"):
                 self.kernel = compile_statics(graph, platform)
-        #: Flat resource rows: compute rows 0..p-1 + the model's ports.
-        self.builder = FlatBuilder(platform.num_processors)
-        self.booker = model.flat_booker(self.builder, self.kernel)
         self.schedule = Schedule(
             graph,
             platform,
@@ -203,8 +200,15 @@ class SchedulerState:
             heuristic=heuristic,
             state_impl=self.state_impl_name,
         )
-        self.finish: dict[TaskId, float] = {}
         self.insertion = insertion
+        self._compute_views = None
+        self._init_engine()
+
+    def _init_engine(self) -> None:
+        """The booking engine: flat builder rows, booker, placement arrays."""
+        #: Flat resource rows: compute rows 0..p-1 + the model's ports.
+        self.builder = FlatBuilder(self.platform.num_processors)
+        self.booker = self.model.flat_booker(self.builder, self.kernel)
         n = self.kernel.num_tasks
         self._proc_a: list[int] = [-1] * n
         self._start_a: list[float] = [0.0] * n
@@ -212,7 +216,53 @@ class SchedulerState:
         self._ev_buf: list[tuple] = []
         self._pcache: tuple | None = None
         self._place_log: list[int] | None = None
-        self._compute_views = None
+
+    @property
+    def finish(self) -> dict[TaskId, float]:
+        """Finish time of every placed task (a fresh dict)."""
+        return {task: p.finish for task, p in self.schedule.placements.items()}
+
+    # ------------------------------------------------------------------
+    # list scheduling (HEFT / PCT, Section 4.1)
+    # ------------------------------------------------------------------
+    def priority_rank(self, key: PriorityKey | None = None) -> list[int]:
+        """Rank of every task index in the priority list (0 = first).
+
+        Decreasing bottom level with ties by task index by default — the
+        rank cached on the kernel statics (treat it as read-only); with
+        ``key``, increasing ``(key(task), index)``.
+        """
+        if key is None:
+            return self.kernel.priority_rank()
+        return rank_by_key(self.kernel.tasks, key)
+
+    def run_list(self, rank: Sequence[int]) -> Schedule:
+        """Schedule every task in list order and return the schedule.
+
+        Repeatedly takes the ready task of smallest ``rank`` (a
+        permutation of the task indices, see :meth:`priority_rank`),
+        commits its :meth:`best_candidate` over all processors and
+        releases its children.  This loop is the reference; the compiled
+        engine runs the same loop in one call.
+        """
+        kernel = self.kernel
+        tasks, edst, succ_rows = kernel.tasks, kernel.edst, kernel.succ_rows
+        order = [0] * len(rank)
+        for i, r in enumerate(rank):
+            order[r] = i
+        remaining = list(kernel.base_indeg)
+        heap = [rank[i] for i in kernel.base_entries]
+        heapq.heapify(heap)
+        best_candidate, commit = self.best_candidate, self.commit
+        while heap:
+            ti = order[heapq.heappop(heap)]
+            commit(best_candidate(tasks[ti]))
+            for e in succ_rows[ti]:
+                child = edst[e]
+                remaining[child] -= 1
+                if not remaining[child]:
+                    heapq.heappush(heap, rank[child])
+        return self.schedule
 
     # ------------------------------------------------------------------
     # EFT engine
@@ -463,7 +513,6 @@ class SchedulerState:
         self._start_a[ti] = start
         self._finish_a[ti] = finish
         self.schedule.place(task, proc, start, finish)
-        self.finish[task] = finish
         if self._place_log is not None:
             self._place_log.append(ti)
 
@@ -559,7 +608,6 @@ class SchedulerState:
             self._proc_a[ti] = -1
             task = tasks[ti]
             del self.schedule.placements[task]
-            del self.finish[task]
         del log[place_cursor:]
         if self.builder.log is None:  # outermost mark resolved
             self._place_log = None
@@ -584,7 +632,6 @@ class SchedulerState:
         )
         dup.schedule.placements = dict(self.schedule.placements)
         dup.schedule.comm_events = list(self.schedule.comm_events)
-        dup.finish = dict(self.finish)
         dup.insertion = self.insertion
         dup._proc_a = list(self._proc_a)
         dup._start_a = list(self._start_a)
@@ -629,30 +676,53 @@ class ComputeRowView:
         return len(self._builder.rows_s[self._proc])
 
 
-class ReadyQueue:
-    """Ready tasks ordered by priority (a heap keyed by ``key(task)``).
+def rank_by_key(tasks: Sequence[TaskId], key: PriorityKey) -> list[int]:
+    """Priority rank of every task index under ``key`` (smaller = sooner).
 
-    Tracks the remaining in-degree of every task; :meth:`complete` marks
-    a task finished and enqueues the children that became ready.
+    Ties on ``key`` break by task index, so ranks are a permutation of
+    ``0 .. n-1`` and task ids themselves are never compared.
+    """
+    return rank_of(sorted(range(len(tasks)), key=lambda i: (key(tasks[i]), i)))
+
+
+class ReadyQueue:
+    """Ready tasks ordered by priority (a heap of integer ranks).
+
+    ``rank[i]`` is the position of task ``i`` (graph insertion index) in
+    the priority list — e.g. :meth:`SchedulerState.priority_rank`; pass
+    ``key`` instead to derive it once with :func:`rank_by_key`.  Tracks
+    the remaining in-degree of every task; :meth:`complete` marks a task
+    finished and enqueues the children that became ready.
     """
 
-    __slots__ = ("_key", "_heap", "_remaining", "_succs", "_index")
+    __slots__ = ("_rank", "_order", "_heap", "_remaining", "_succs", "_index")
 
-    def __init__(self, graph: TaskGraph, key: PriorityKey) -> None:
+    def __init__(
+        self,
+        graph: TaskGraph,
+        key: PriorityKey | None = None,
+        *,
+        rank: Sequence[int] | None = None,
+    ) -> None:
         maps = graph.as_maps()
-        self._key = key
+        tasks = list(maps.index)
+        if rank is None:
+            if key is None:
+                raise ConfigurationError("ReadyQueue needs a key or a rank")
+            rank = rank_by_key(tasks, key)
+        order = [None] * len(tasks)
+        for i, r in enumerate(rank):
+            order[r] = tasks[i]
+        self._rank = rank
+        self._order = order
         self._succs = maps.succs
         self._index = maps.index
-        self._remaining = {v: len(maps.preds[v]) for v in maps.preds}
-        self._heap: list[tuple] = []
-        for v in maps.index:
-            if self._remaining[v] == 0:
-                self._push(v)
+        self._remaining = {v: len(maps.preds[v]) for v in tasks}
+        self._heap = [rank[i] for i, v in enumerate(tasks) if not self._remaining[v]]
+        heapq.heapify(self._heap)
 
     def _push(self, task: TaskId) -> None:
-        # The unique insertion index keeps heap entries totally ordered
-        # without ever comparing (possibly mixed-type) task ids.
-        heapq.heappush(self._heap, (self._key(task), self._index[task], task))
+        heapq.heappush(self._heap, self._rank[self._index[task]])
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -662,13 +732,14 @@ class ReadyQueue:
 
     def pop(self) -> TaskId:
         """Highest-priority ready task."""
-        return heapq.heappop(self._heap)[-1]
+        return self._order[heapq.heappop(self._heap)]
 
     def pop_chunk(self, size: int) -> list[TaskId]:
         """Up to ``size`` highest-priority ready tasks, in priority order."""
+        heap, order = self._heap, self._order
         out = []
-        while self._heap and len(out) < size:
-            out.append(heapq.heappop(self._heap)[-1])
+        while heap and len(out) < size:
+            out.append(order[heapq.heappop(heap)])
         return out
 
     def push_back(self, task: TaskId) -> None:

@@ -23,7 +23,6 @@ from collections.abc import Hashable, Mapping, Sequence
 
 from ..core.exceptions import SchedulingError
 from ..core.platform import Platform
-from ..core.ranking import bottom_levels
 from ..core.schedule import Schedule
 from ..core.taskgraph import TaskGraph
 from ..models.base import CommunicationModel
@@ -79,10 +78,9 @@ class FixedAllocation(Scheduler):
                 raise SchedulingError("explicit order must cover every task once")
             key = lambda v: (rank[v],)  # noqa: E731
         else:
-            bl = bottom_levels(graph, platform)
-            key = lambda v: (-bl[v],)  # noqa: E731
+            key = None
 
-        queue = ReadyQueue(graph, key)
+        queue = ReadyQueue(graph, rank=state.priority_rank(key))
         while queue:
             task = queue.pop()
             state.schedule_on(task, self.alloc[task])

@@ -21,14 +21,12 @@ levels); under the one-port model it is the paper's adapted HEFT.
 from __future__ import annotations
 
 from ..core.platform import Platform
-from ..core.ranking import bottom_levels
 from ..core.schedule import Schedule
 from ..core.taskgraph import TaskGraph
 from ..models.base import CommunicationModel
 from ..obs import span as _obs_span
 from .base import (
     PriorityKey,
-    ReadyQueue,
     Scheduler,
     SchedulerState,
     make_model,
@@ -51,6 +49,9 @@ class HEFT(Scheduler):
         ``(-bottom_level,)`` with ties broken by task insertion index.
         The paper's toy example (Figure 4) fixes a specific tie order,
         which tests reproduce through this hook.
+
+    The loop itself is :meth:`SchedulerState.run_list`, which the
+    compiled engine runs in a single call.
     """
 
     name = "heft"
@@ -69,17 +70,7 @@ class HEFT(Scheduler):
         state = SchedulerState(
             graph, platform, model, heuristic=self.name, insertion=self.insertion
         )
-        if self.priority_key is not None:
-            key = self.priority_key
-        else:
-            with _obs_span("phase.rank"):
-                bl = bottom_levels(graph, platform)
-            key = lambda v: (-bl[v],)  # noqa: E731
-
+        with _obs_span("phase.rank"):
+            rank = state.priority_rank(self.priority_key)
         with _obs_span("phase.construct"):
-            queue = ReadyQueue(graph, key)
-            while queue:
-                task = queue.pop()
-                state.commit(state.best_candidate(task))
-                queue.complete(task)
-        return state.schedule
+            return state.run_list(rank)

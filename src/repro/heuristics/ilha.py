@@ -37,6 +37,7 @@ kept for fidelity to the published pseudocode.
 from __future__ import annotations
 
 from collections.abc import Hashable, Sequence
+from functools import lru_cache
 
 from ..core.exceptions import ConfigurationError
 from ..core.loadbalance import (
@@ -45,10 +46,10 @@ from ..core.loadbalance import (
     perfect_balance_count,
 )
 from ..core.platform import Platform
-from ..core.ranking import bottom_levels
 from ..core.schedule import Schedule
 from ..core.taskgraph import TaskGraph
 from ..models.base import CommunicationModel
+from ..obs import span as _obs_span
 from .base import (
     PriorityKey,
     ReadyQueue,
@@ -61,6 +62,12 @@ from .base import (
 TaskId = Hashable
 
 
+@lru_cache(maxsize=256)
+def _count_limits(n: int, cycle_times: tuple[float, ...]) -> tuple[int, ...]:
+    """:func:`optimal_distribution`, memoised: chunks repeat (size, platform)."""
+    return tuple(optimal_distribution(n, cycle_times))
+
+
 class _ChunkBudget:
     """Step-1 budget tracker, in task counts or weight units (see ILHA)."""
 
@@ -69,7 +76,7 @@ class _ChunkBudget:
     def __init__(self, mode: str, chunk_weights: Sequence[float], cycle_times: Sequence[float]):
         self.mode = mode
         if mode == "counts":
-            self.limits = optimal_distribution(len(chunk_weights), cycle_times)
+            self.limits = _count_limits(len(chunk_weights), tuple(cycle_times))
             self.used = [0] * len(cycle_times)
             self.tracker = None
         else:
@@ -171,30 +178,29 @@ class ILHA(Scheduler):
         state = SchedulerState(
             graph, platform, model, heuristic=self.name, insertion=self.insertion
         )
-        if self.priority_key is not None:
-            key = self.priority_key
-        else:
-            bl = bottom_levels(graph, platform)
-            key = lambda v: (-bl[v],)  # noqa: E731
+        with _obs_span("phase.rank"):
+            rank = state.priority_rank(self.priority_key)
         b = self.b if self.b is not None else default_chunk_size(platform)
 
-        queue = ReadyQueue(graph, key)
-        while queue:
-            chunk = queue.pop_chunk(b)
-            if self.reschedule:
-                # Pre-allocate on a scratch run (rolled back through the
-                # state's undo journal — O(chunk), not a deep copy), then
-                # rebuild the chunk's timing with the allocation fixed.
-                mark = state.mark()
-                alloc = self._run_chunk(state, chunk)
-                state.restore(mark)
+        with _obs_span("phase.construct"):
+            queue = ReadyQueue(graph, rank=rank)
+            while queue:
+                chunk = queue.pop_chunk(b)
+                if self.reschedule:
+                    # Pre-allocate on a scratch run (rolled back through
+                    # the state's undo journal — O(chunk), not a deep
+                    # copy), then rebuild the chunk's timing with the
+                    # allocation fixed.
+                    mark = state.mark()
+                    alloc = self._run_chunk(state, chunk)
+                    state.restore(mark)
+                    for task in chunk:
+                        state.schedule_on(task, alloc[task])
+                else:
+                    self._run_chunk(state, chunk)
                 for task in chunk:
-                    state.schedule_on(task, alloc[task])
-            else:
-                self._run_chunk(state, chunk)
-            for task in chunk:
-                queue.complete(task)
-        return state.schedule
+                    queue.complete(task)
+            return state.schedule
 
     # ------------------------------------------------------------------
     def _run_chunk(
@@ -269,10 +275,8 @@ class ILHA(Scheduler):
             return None
         weight = maps.weight[task]
         by_proc: dict[int, int] = {}
-        for p in parents:
-            by_proc[state.schedule.placements[p].proc] = (
-                by_proc.get(state.schedule.placements[p].proc, 0) + 1
-            )
+        for _parent, pproc, _finish, _data in state.parents_info(task):
+            by_proc[pproc] = by_proc.get(pproc, 0) + 1
         candidates = [
             proc
             for proc, count in by_proc.items()
@@ -401,11 +405,7 @@ class ILHAClassic(Scheduler):
         state = SchedulerState(
             graph, platform, model, heuristic=self.name, insertion=self.insertion
         )
-        if self.priority_key is not None:
-            key = self.priority_key
-        else:
-            bl = bottom_levels(graph, platform)
-            key = lambda v: (-bl[v],)  # noqa: E731
+        rank = state.priority_rank(self.priority_key)
         b = self.b if self.b is not None else default_chunk_size(platform)
         maps = state.maps
         # Fastest-first processor order ("the fastest processor that is
@@ -414,7 +414,7 @@ class ILHAClassic(Scheduler):
             platform.processors, key=lambda p: (platform.cycle_time(p), p)
         )
 
-        queue = ReadyQueue(graph, key)
+        queue = ReadyQueue(graph, rank=rank)
         while queue:
             chunk = queue.pop_chunk(b)
             budget = optimal_distribution(len(chunk), platform.cycle_times)
@@ -422,7 +422,7 @@ class ILHAClassic(Scheduler):
             for task in chunk:
                 parents = maps.preds[task]
                 if parents:
-                    procs = {state.schedule.placements[p].proc for p in parents}
+                    procs = state.parent_procs(task)
                     if len(procs) == 1:
                         proc = next(iter(procs))
                         if budget[proc] > 0:

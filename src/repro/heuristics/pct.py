@@ -16,12 +16,11 @@ main behavioural difference from HEFT here.
 from __future__ import annotations
 
 from ..core.platform import Platform
-from ..core.ranking import bottom_levels
 from ..core.schedule import Schedule
 from ..core.taskgraph import TaskGraph
 from ..models.base import CommunicationModel
+from ..obs import span as _obs_span
 from .base import (
-    ReadyQueue,
     Scheduler,
     SchedulerState,
     make_model,
@@ -48,10 +47,8 @@ class PCT(Scheduler):
         state = SchedulerState(
             graph, platform, model, heuristic=self.name, insertion=self.insertion
         )
-        pct = bottom_levels(graph, platform)
-        queue = ReadyQueue(graph, lambda v: (-pct[v],))
-        while queue:
-            task = queue.pop()
-            state.commit(state.best_candidate(task))
-            queue.complete(task)
-        return state.schedule
+        # the PCT priority is the bottom level (HEFT's rank)
+        with _obs_span("phase.rank"):
+            rank = state.priority_rank()
+        with _obs_span("phase.construct"):
+            return state.run_list(rank)

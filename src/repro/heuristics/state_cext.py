@@ -5,11 +5,17 @@ resolution, the all-processor candidate sweep with maxpf / frontier /
 in-trial pruning, the model bookers' ``trial_est`` / ``commit_est``
 fixed points (seed memo included), gap search, commit, and the undo
 journal — through one :class:`repro.kernel._cext.Engine` instance: a C
-struct of typed arrays with no Python objects in the inner loop.  The
-Python layer keeps only what the rest of the package reads — the
-:class:`~repro.core.schedule.Schedule` under construction, the
-placement mirrors behind :meth:`parents_info` / :meth:`parent_procs`,
-and a FlatBuilder-shaped facade for tests and debugging.
+struct of typed arrays with no Python objects in the inner loop.
+:meth:`~CextSchedulerState.run_list` hands the engine the whole HEFT /
+PCT loop (ready heap, sweep, commit, release) as one call.
+
+The engine is the only record of placements and transfers: it keeps
+them in commit-ordered logs (truncated by rollbacks), and the
+:class:`~repro.core.schedule.Schedule` is materialized from those logs
+in bulk when :attr:`~CextSchedulerState.schedule` is read — at the end
+of a run, or mid-run by readers such as tests — appending only what
+was committed since the previous read.  A FlatBuilder-shaped facade
+keeps state introspection working for tests and debugging.
 
 Bit-identity: the C engine transliterates the scalar reference
 (``builder.py``, the flat bookers, ``SchedulerState``'s sweep) —
@@ -23,7 +29,9 @@ Observability: the engine accumulates the booking counters internally
 (one C increment instead of a Python dict update per event) and this
 wrapper flushes the *deltas* into the active collector after each
 public call, so stats-on runs see the exact counters the python path
-emits while stats-off runs pay nothing.
+emits while stats-off runs pay nothing.  With stage detail on,
+:meth:`~CextSchedulerState.run_list` has the engine time its sweeps and
+commits and reports them as ``stage.sweep`` / ``stage.commit``.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from collections.abc import Hashable, Iterable, Sequence
 from time import perf_counter
 
 from ..core.exceptions import SchedulingError
+from ..core.schedule import Schedule
 from ..kernel import _cext
 from ..kernel.cext_backend import engine_statics
 from ..obs import stage_detail as _stage_detail
@@ -146,26 +155,48 @@ class _CextComputeRowView:
 class CextSchedulerState(SchedulerState):
     """Scheduler state on the compiled engine (see module docstring)."""
 
-    __slots__ = ("_eng", "_mdepth")
+    __slots__ = ("_eng", "_sched", "_synced")
 
     state_impl_name = "flat-cext"
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def _init_engine(self) -> None:
         code = _model_code(self.model)
         if code is None:
             # Flat-capable model without a C booker (e.g. a subclass
             # overriding a booking hook): run the inherited pure-Python
             # engine and record what actually ran.
             self._eng = None
-            self.schedule.state_impl = SchedulerState.state_impl_name
+            super()._init_engine()
+            self._sched.state_impl = SchedulerState.state_impl_name
             return
         self._eng = eng = _cext.Engine(engine_statics(self.kernel), code)
-        #: The inherited FlatBuilder/booker pair is superseded by the
-        #: engine; ``builder`` becomes the read facade so state
-        #: introspection keeps working.
+        #: ``builder`` is a read facade over the engine so state
+        #: introspection keeps working; there is no Python booker.
         self.builder = _EngineBuilder(eng)
-        self._mdepth = 0
+        self.booker = None
+        #: Engine (placement, event) log lengths already in ``_sched``.
+        self._synced = (0, 0)
+
+    # ------------------------------------------------------------------
+    # the schedule, materialized from the engine's logs
+    # ------------------------------------------------------------------
+    @property
+    def schedule(self) -> Schedule:
+        """The schedule so far (bulk-appends the engine's new records)."""
+        sched = self._sched
+        eng = self._eng
+        if eng is not None:
+            placed, events = self._synced
+            if placed != eng.num_placed or events != eng.num_events:
+                eng.materialize(
+                    self.kernel.tasks, sched.placements, sched.comm_events, placed, events
+                )
+                self._synced = (eng.num_placed, eng.num_events)
+        return sched
+
+    @schedule.setter
+    def schedule(self, value: Schedule) -> None:
+        self._sched = value
 
     # ------------------------------------------------------------------
     # counter drain
@@ -175,9 +206,9 @@ class CextSchedulerState(SchedulerState):
 
         The engine accumulates counters in C; draining only at the
         sync points that close out every construction step (commit,
-        schedule_on, restore) keeps the evaluate fast path free of
-        per-call stats traffic while every completed run still reports
-        exact totals.
+        schedule_on, restore, run_list) keeps the evaluate fast path
+        free of per-call stats traffic while every completed run still
+        reports exact totals.
         """
         deltas = self._eng.drain_counters()
         if deltas is not None:
@@ -186,8 +217,35 @@ class CextSchedulerState(SchedulerState):
                 inc(name, d)
 
     # ------------------------------------------------------------------
+    # list scheduling
+    # ------------------------------------------------------------------
+    def run_list(self, rank: Sequence[int]) -> Schedule:
+        eng = self._eng
+        if eng is None:
+            return super().run_list(rank)
+        stats = self._stats
+        times = eng.run_list(rank, self.insertion, stats is not None and _stage_detail())
+        if stats is not None:
+            self._flush_counters()
+            if times is not None:
+                n = self.kernel.num_tasks
+                stats.add_time("stage.sweep", times[0], n)
+                stats.add_time("stage.commit", times[1], n)
+        return self.schedule
+
+    # ------------------------------------------------------------------
     # EFT engine
     # ------------------------------------------------------------------
+    def _parents(self, ti: int) -> list[tuple[float, int, int, int]]:
+        if self._eng is None:
+            return super()._parents(ti)
+        return self._eng.parents(ti)
+
+    def parent_procs(self, task: TaskId) -> set[int]:
+        if self._eng is None:
+            return super().parent_procs(task)
+        return {row[3] for row in self._eng.parents(self.kernel.intern(task))}
+
     def evaluate(
         self,
         task: TaskId,
@@ -250,39 +308,17 @@ class CextSchedulerState(SchedulerState):
     # ------------------------------------------------------------------
     # commits
     # ------------------------------------------------------------------
-    def _record_events(self, task: TaskId, proc: int, events: list) -> None:
-        if not events:
-            return
-        kernel = self.kernel
-        tasks, esrc, edata = kernel.tasks, kernel.esrc, kernel.edata
-        record = self.schedule.record_comm
-        for e, q, start, dur in events:
-            record(tasks[esrc[e]], task, q, proc, start, dur, edata[e])
-
-    def _mirror_place(
-        self, task: TaskId, ti: int, proc: int, start: float, finish: float
-    ) -> None:
-        self._proc_a[ti] = proc
-        self._start_a[ti] = start
-        self._finish_a[ti] = finish
-        self.schedule.place(task, proc, start, finish)
-        self.finish[task] = finish
-
     def commit(self, candidate: Candidate) -> None:
         eng = self._eng
         if eng is None:
             return super().commit(candidate)
-        task = candidate.task
-        ti = self.kernel.intern(task)
-        proc, start, finish = candidate.proc, candidate.start, candidate.finish
+        ti = self.kernel.intern(candidate.task)
         detail = self._stats is not None and _stage_detail()
         if detail:
             t0 = perf_counter()
-        events = eng.commit(ti, proc, start, finish)
+        eng.commit(ti, candidate.proc, candidate.start, candidate.finish)
         if detail:
             self._stats.add_time("stage.commit", perf_counter() - t0)
-        self._record_events(task, proc, events)
-        self._mirror_place(task, ti, proc, start, finish)
         if self._stats is not None:
             self._flush_counters()
 
@@ -294,9 +330,12 @@ class CextSchedulerState(SchedulerState):
             return super().schedule_on(task, proc, insertion)
         ti = self.kernel.intern(task)
         ins = self.insertion if insertion is None else insertion
-        start, finish, events = eng.schedule_on(ti, proc, ins)
-        self._record_events(task, proc, events)
-        self._mirror_place(task, ti, proc, start, finish)
+        detail = self._stats is not None and _stage_detail()
+        if detail:
+            t0 = perf_counter()
+        start, finish = eng.schedule_on(ti, proc, ins)
+        if detail:
+            self._stats.add_time("stage.commit", perf_counter() - t0)
         if self._stats is not None:
             self._flush_counters()
         return Candidate(task, proc, start, finish)
@@ -320,68 +359,58 @@ class CextSchedulerState(SchedulerState):
     # scratch runs and snapshots
     # ------------------------------------------------------------------
     def mark(self):
-        eng = self._eng
-        if eng is None:
+        if self._eng is None:
             return super().mark()
-        cursor, pcursor = eng.mark()
-        self._mdepth += 1
-        return (cursor, pcursor, len(self.schedule.comm_events))
+        return self._eng.mark()
 
     def restore(self, mark) -> None:
         eng = self._eng
         if eng is None:
             return super().restore(mark)
-        cursor, pcursor, events_len = mark
+        _cursor, pcursor, ecursor = mark
         detail = self._stats is not None and _stage_detail()
         if detail:
             t0 = perf_counter()
-        _entries, undone = eng.rollback(cursor, pcursor)
+        _entries, undone = eng.rollback(*mark)
         if detail:
             self._stats.add_time("stage.journal", perf_counter() - t0)
-        tasks = self.kernel.tasks
-        placements = self.schedule.placements
-        finish = self.finish
-        proc_a = self._proc_a
-        for ti in undone:
-            proc_a[ti] = -1
-            task = tasks[ti]
-            del placements[task]
-            del finish[task]
-        self._mdepth -= 1
-        del self.schedule.comm_events[events_len:]
+        # drop what was already materialized past the mark
+        placed, events = self._synced
+        if placed > pcursor:
+            tasks = self.kernel.tasks
+            placements = self._sched.placements
+            for ti in undone[len(undone) - (placed - pcursor):]:
+                del placements[tasks[ti]]
+        if events > ecursor:
+            del self._sched.comm_events[ecursor:]
+        self._synced = (min(placed, pcursor), min(events, ecursor))
         if self._stats is not None:
             self._flush_counters()
 
     def snapshot(self) -> "CextSchedulerState":
         if self._eng is None:
-            return super().snapshot()
+            dup = super().snapshot()
+            dup._eng = None
+            return dup
         dup = object.__new__(type(self))
         dup.graph = self.graph
         dup.platform = self.platform
         dup.model = self.model
         dup.maps = self.maps
         dup.kernel = self.kernel  # immutable statics, shared
-        dup._eng = self._eng.copy()
+        dup._eng = self._eng.copy()  # with the placement and event logs
         dup.builder = _EngineBuilder(dup._eng)
-        dup.booker = self.booker  # unused on the engine path
-        dup.schedule = type(self.schedule)(
+        dup.booker = None
+        sched = self._sched
+        dup._sched = Schedule(
             self.graph,
             self.platform,
-            model=self.schedule.model,
-            heuristic=self.schedule.heuristic,
-            state_impl=self.schedule.state_impl,
+            model=sched.model,
+            heuristic=sched.heuristic,
+            state_impl=sched.state_impl,
         )
-        dup.schedule.placements = dict(self.schedule.placements)
-        dup.schedule.comm_events = list(self.schedule.comm_events)
-        dup.finish = dict(self.finish)
+        dup._synced = (0, 0)
         dup.insertion = self.insertion
-        dup._proc_a = list(self._proc_a)
-        dup._start_a = list(self._start_a)
-        dup._finish_a = list(self._finish_a)
-        dup._ev_buf = []
-        dup._pcache = None
-        dup._place_log = None
         dup._compute_views = None
         dup._stats = self._stats
-        dup._mdepth = 0
         return dup

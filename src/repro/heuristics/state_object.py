@@ -65,7 +65,6 @@ class ObjectSchedulerState(SchedulerState):
             heuristic=heuristic,
             state_impl=self.state_impl_name,
         )
-        self.finish: dict[TaskId, float] = {}
         self.insertion = insertion
 
     # ------------------------------------------------------------------
@@ -159,7 +158,6 @@ class ObjectSchedulerState(SchedulerState):
         self.schedule.place(
             candidate.task, candidate.proc, candidate.start, candidate.finish
         )
-        self.finish[candidate.task] = candidate.finish
 
     def schedule_on(
         self, task: TaskId, proc: int, insertion: bool | None = None
@@ -193,7 +191,6 @@ class ObjectSchedulerState(SchedulerState):
         )
         dup.schedule.placements = dict(self.schedule.placements)
         dup.schedule.comm_events = list(self.schedule.comm_events)
-        dup.finish = dict(self.finish)
         dup.insertion = self.insertion
         return dup
 
@@ -216,4 +213,3 @@ class ObjectSchedulerState(SchedulerState):
             self.model.bind_compute(self.compute)
         self.schedule.placements = mark.schedule.placements
         self.schedule.comm_events = mark.schedule.comm_events
-        self.finish = mark.finish

@@ -21,12 +21,18 @@
 #include <structmember.h>
 #include <math.h>
 #include <string.h>
+#include <time.h>
 
 /* Exception types injected from repro.core.exceptions at import time
  * (cext_backend calls _set_exceptions); RuntimeError until then. */
 static PyObject *SchedulingErr = NULL;
 static PyObject *TimelineErr = NULL;
 static PyObject *PlatformErr = NULL;
+
+/* Schedule record types (TaskPlacement, CommEvent: tuple subclasses)
+ * injected the same way; materialize() needs them. */
+static PyTypeObject *PlacementType = NULL;
+static PyTypeObject *CommEventType = NULL;
 
 #define SCHED_ERR (SchedulingErr ? SchedulingErr : PyExc_RuntimeError)
 #define TIMELINE_ERR (TimelineErr ? TimelineErr : PyExc_RuntimeError)
@@ -159,6 +165,11 @@ typedef struct {
     Py_ssize_t *esrc;      /* m */
     Py_ssize_t *pred_ptr;  /* n+1 */
     Py_ssize_t *pred_eix;  /* m */
+    /* derived from the pred CSR: consumer of each edge, and per task
+     * the consumers of its outgoing edges (run_list's release lists) */
+    Py_ssize_t *edst;      /* m */
+    Py_ssize_t *succ_ptr;  /* n+1 */
+    Py_ssize_t *succ_t;    /* m */
     double *links;         /* p*p row-major */
     int all_links_finite;
 } StaticsObject;
@@ -223,6 +234,9 @@ Statics_dealloc(StaticsObject *self)
     PyMem_Free(self->esrc);
     PyMem_Free(self->pred_ptr);
     PyMem_Free(self->pred_eix);
+    PyMem_Free(self->edst);
+    PyMem_Free(self->succ_ptr);
+    PyMem_Free(self->succ_t);
     PyMem_Free(self->links);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
@@ -254,9 +268,13 @@ Statics_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->esrc = PyMem_Malloc((size_t)(m ? m : 1) * sizeof(Py_ssize_t));
     self->pred_ptr = PyMem_Malloc((size_t)(n + 1) * sizeof(Py_ssize_t));
     self->pred_eix = PyMem_Malloc((size_t)(m ? m : 1) * sizeof(Py_ssize_t));
+    self->edst = PyMem_Malloc((size_t)(m ? m : 1) * sizeof(Py_ssize_t));
+    self->succ_ptr = PyMem_Calloc((size_t)(n + 1), sizeof(Py_ssize_t));
+    self->succ_t = PyMem_Malloc((size_t)(m ? m : 1) * sizeof(Py_ssize_t));
     self->links = PyMem_Malloc((size_t)(p * p) * sizeof(double));
     if (!self->exec_ || !self->edata || !self->esrc || !self->pred_ptr ||
-        !self->pred_eix || !self->links) {
+        !self->pred_eix || !self->edst || !self->succ_ptr || !self->succ_t ||
+        !self->links) {
         Py_DECREF(self);
         return PyErr_NoMemory();
     }
@@ -292,6 +310,37 @@ Statics_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
             return NULL;
         }
     }
+    /* pred_eix must list every edge exactly once (a permutation) */
+    int perm = self->pred_ptr[0] == 0 && self->pred_ptr[n] == m;
+    for (Py_ssize_t e = 0; e < m; e++)
+        self->edst[e] = -1;
+    for (Py_ssize_t k = 0; perm && k < m; k++) {
+        if (self->edst[self->pred_eix[k]] >= 0)
+            perm = 0;
+        self->edst[self->pred_eix[k]] = 0;
+    }
+    if (!perm) {
+        Py_DECREF(self);
+        PyErr_SetString(PyExc_ValueError, "pred_eix is not a permutation");
+        return NULL;
+    }
+    /* successor CSR: count out-degrees, prefix-sum, then fill */
+    for (Py_ssize_t e = 0; e < m; e++)
+        self->succ_ptr[self->esrc[e] + 1]++;
+    for (Py_ssize_t i = 0; i < n; i++)
+        self->succ_ptr[i + 1] += self->succ_ptr[i];
+    for (Py_ssize_t ti = 0; ti < n; ti++) {
+        for (Py_ssize_t k = self->pred_ptr[ti]; k < self->pred_ptr[ti + 1]; k++) {
+            Py_ssize_t e = self->pred_eix[k];
+            Py_ssize_t u = self->esrc[e];
+            self->edst[e] = ti;
+            /* the fill cursor borrows succ_ptr[u]; restored below */
+            self->succ_t[self->succ_ptr[u]++] = ti;
+        }
+    }
+    for (Py_ssize_t i = n; i > 0; i--)
+        self->succ_ptr[i] = self->succ_ptr[i - 1];
+    self->succ_ptr[0] = 0;
     return (PyObject *)self;
 }
 
@@ -361,10 +410,11 @@ typedef struct {
     UndoRec *log;
     Py_ssize_t log_len, log_cap;
     Py_ssize_t mark_depth;
-    /* placement log (SchedulerState._place_log) */
+    /* commit-ordered placement log: the order of Schedule.placements,
+     * truncated by rollback (so it also lists the tasks a rollback
+     * unplaces) */
     Py_ssize_t *plog;
     Py_ssize_t plog_len, plog_cap;
-    int plog_active;
     /* placements */
     Py_ssize_t *proc_a;    /* n, -1 = unplaced */
     double *start_a;
@@ -378,6 +428,8 @@ typedef struct {
     /* scratch */
     PRow *par;
     Py_ssize_t par_cap;
+    /* commit-ordered transfer-event log (Schedule.comm_events),
+     * truncated by rollback */
     EvRec *ev;
     Py_ssize_t ev_len, ev_cap;
     unsigned char *touched;  /* num_rows, rollback scratch */
@@ -484,7 +536,7 @@ engine_alloc(EngineObject *self, StaticsObject *st, int model)
     self->mark_depth = 0;
     self->log_len = 0;
     self->plog_len = 0;
-    self->plog_active = 0;
+    self->ev_len = 0;
     Py_INCREF(st);
     self->st = st;
     return 0;
@@ -1271,46 +1323,18 @@ parse_procs(EngineObject *eg, PyObject *procs_o, Py_ssize_t *count, int *err)
     return out;
 }
 
-static PyObject *
-events_to_list(EngineObject *eg)
-{
-    PyObject *lst = PyList_New(eg->ev_len);
-    if (lst == NULL)
-        return NULL;
-    for (Py_ssize_t i = 0; i < eg->ev_len; i++) {
-        PyObject *t = Py_BuildValue("(nndd)", eg->ev[i].e, eg->ev[i].q,
-                                    eg->ev[i].t, eg->ev[i].dur);
-        if (t == NULL) {
-            Py_DECREF(lst);
-            return NULL;
-        }
-        PyList_SET_ITEM(lst, i, t);
-    }
-    return lst;
-}
-
 /* SchedulerState.best_candidate: min-EFT sweep with maxpf / frontier /
- * in-trial-abort pruning, strict (finish, start, proc) tie-break.
- * Returns (proc, start, finish) or None when no candidate exists. */
-static PyObject *
-Engine_best_candidate(EngineObject *eg, PyObject *args)
+ * in-trial-abort pruning, strict (finish, start, proc) tie-break over
+ * procs[0..nprocs) (NULL = every processor).  *bp = -1 when no
+ * candidate exists; returns -1 with an exception set on error. */
+static int
+best_candidate_c(EngineObject *eg, Py_ssize_t ti, int use_insertion,
+                 const Py_ssize_t *procs, Py_ssize_t nprocs,
+                 Py_ssize_t *bp_out, double *bs_out, double *bf_out)
 {
-    Py_ssize_t ti;
-    int use_insertion;
-    PyObject *procs_o;
-    if (!PyArg_ParseTuple(args, "npO:best_candidate", &ti, &use_insertion,
-                          &procs_o))
-        return NULL;
-    if (check_ti(eg, ti) < 0)
-        return NULL;
     Py_ssize_t np_ = resolve_parents(eg, ti);
     if (np_ < 0)
-        return NULL;
-    int perr = 0;
-    Py_ssize_t nprocs;
-    Py_ssize_t *procs = parse_procs(eg, procs_o, &nprocs, &perr);
-    if (perr)
-        return NULL;
+        return -1;
     StaticsObject *st = eg->st;
     const double *exec_row = st->exec_ + ti * st->p;
     int prunable = st->all_links_finite;
@@ -1337,10 +1361,8 @@ Engine_best_candidate(EngineObject *eg, PyObject *args)
         int err = 0;
         double est = trial_est_dispatch(eg, par, np_, proc,
                                         prunable ? bf : inf, duration, &err);
-        if (err) {
-            PyMem_Free(procs);
-            return NULL;
-        }
+        if (err)
+            return -1;
         if (prunable && est + duration > bf) {
             eg->c_prune_abort++;
             continue;
@@ -1358,7 +1380,36 @@ Engine_best_candidate(EngineObject *eg, PyObject *args)
             bp = proc;
         }
     }
+    *bp_out = bp;
+    *bs_out = bs;
+    *bf_out = bf;
+    return 0;
+}
+
+/* Returns (proc, start, finish) or None when no candidate exists. */
+static PyObject *
+Engine_best_candidate(EngineObject *eg, PyObject *args)
+{
+    Py_ssize_t ti;
+    int use_insertion;
+    PyObject *procs_o;
+    if (!PyArg_ParseTuple(args, "npO:best_candidate", &ti, &use_insertion,
+                          &procs_o))
+        return NULL;
+    if (check_ti(eg, ti) < 0)
+        return NULL;
+    int perr = 0;
+    Py_ssize_t nprocs;
+    Py_ssize_t *procs = parse_procs(eg, procs_o, &nprocs, &perr);
+    if (perr)
+        return NULL;
+    Py_ssize_t bp;
+    double bs, bf;
+    int rc = best_candidate_c(eg, ti, use_insertion, procs, nprocs, &bp, &bs,
+                              &bf);
     PyMem_Free(procs);
+    if (rc < 0)
+        return NULL;
     if (bp < 0)
         Py_RETURN_NONE;
     return Py_BuildValue("(ndd)", bp, bs, bf);
@@ -1525,8 +1576,47 @@ plog_append(EngineObject *eg, Py_ssize_t ti)
 }
 
 /* _commit_comms + _place, fused: books ports and the compute window,
- * records the placement, and returns the transfer events as a list of
- * (edge_ix, src_proc, start, duration). */
+ * records the placement and appends the transfer events to the log.
+ * With sched_ins < 0 the compute window is *start / *finish (commit of
+ * an evaluated candidate); otherwise it is derived from the committed
+ * EST with or without insertion and written back (schedule_on). */
+static int
+commit_c(EngineObject *eg, Py_ssize_t ti, Py_ssize_t proc, int sched_ins,
+         double *start, double *finish)
+{
+    if (eg->proc_a[ti] >= 0) {
+        PyErr_Format(SCHED_ERR, "task #%zd placed twice", ti);
+        return -1;
+    }
+    Py_ssize_t np_ = resolve_parents(eg, ti);
+    if (np_ < 0)
+        return -1;
+    eg->gen += 1;  /* stale any tentative data */
+    int err = 0;
+    double est = commit_est_dispatch(eg, eg->par, np_, proc, &err);
+    if (err)
+        return -1;
+    if (sched_ins >= 0) {
+        double duration = eg->st->exec_[ti * eg->st->p + proc];
+        Row *crow = &eg->rows[proc];
+        if (sched_ins) {
+            *start = row_next_fit_c(crow->s, crow->e, crow->len, est,
+                                    duration);
+        } else {
+            double last = crow->len ? crow->e[crow->len - 1] : 0.0;
+            *start = est >= last ? est : last;
+        }
+        *finish = *start + duration;
+    }
+    eg->c_commits++;
+    if (book_c(eg, proc, *start, *finish) < 0)
+        return -1;
+    eg->proc_a[ti] = proc;
+    eg->start_a[ti] = *start;
+    eg->finish_a[ti] = *finish;
+    return plog_append(eg, ti);
+}
+
 static PyObject *
 Engine_commit(EngineObject *eg, PyObject *args)
 {
@@ -1536,28 +1626,13 @@ Engine_commit(EngineObject *eg, PyObject *args)
         return NULL;
     if (check_ti(eg, ti) < 0 || check_proc(eg, proc) < 0)
         return NULL;
-    Py_ssize_t np_ = resolve_parents(eg, ti);
-    if (np_ < 0)
+    if (commit_c(eg, ti, proc, -1, &start, &finish) < 0)
         return NULL;
-    eg->gen += 1;  /* stale any tentative data */
-    eg->ev_len = 0;
-    int err = 0;
-    commit_est_dispatch(eg, eg->par, np_, proc, &err);
-    if (err)
-        return NULL;
-    eg->c_commits++;
-    if (book_c(eg, proc, start, finish) < 0)
-        return NULL;
-    eg->proc_a[ti] = proc;
-    eg->start_a[ti] = start;
-    eg->finish_a[ti] = finish;
-    if (eg->plog_active && plog_append(eg, ti) < 0)
-        return NULL;
-    return events_to_list(eg);
+    Py_RETURN_NONE;
 }
 
 /* SchedulerState.schedule_on: evaluate-and-commit on a fixed processor.
- * Returns (start, finish, events). */
+ * Returns (start, finish). */
 static PyObject *
 Engine_schedule_on(EngineObject *eg, PyObject *args)
 {
@@ -1568,71 +1643,260 @@ Engine_schedule_on(EngineObject *eg, PyObject *args)
         return NULL;
     if (check_ti(eg, ti) < 0 || check_proc(eg, proc) < 0)
         return NULL;
-    Py_ssize_t np_ = resolve_parents(eg, ti);
-    if (np_ < 0)
+    double start, finish;
+    if (commit_c(eg, ti, proc, use_insertion, &start, &finish) < 0)
         return NULL;
-    eg->gen += 1;
-    eg->ev_len = 0;
-    int err = 0;
-    double est = commit_est_dispatch(eg, eg->par, np_, proc, &err);
-    if (err)
-        return NULL;
-    double duration = eg->st->exec_[ti * eg->st->p + proc];
-    Row *crow = &eg->rows[proc];
-    double start;
-    if (use_insertion) {
-        start = row_next_fit_c(crow->s, crow->e, crow->len, est, duration);
-    } else {
-        double last = crow->len ? crow->e[crow->len - 1] : 0.0;
-        start = est >= last ? est : last;
+    return Py_BuildValue("(dd)", start, finish);
+}
+
+/* ------------------------------------------------------------------ */
+/* run_list: the whole list-scheduling loop (SchedulerState.run_list)  */
+/* ------------------------------------------------------------------ */
+
+static double
+now_s(void)
+{
+    struct timespec ts;
+#ifdef CLOCK_MONOTONIC
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+#else
+    timespec_get(&ts, TIME_UTC);
+#endif
+    return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
+}
+
+/* binary min-heap of ranks */
+static void
+heap_push(Py_ssize_t *h, Py_ssize_t *len, Py_ssize_t v)
+{
+    Py_ssize_t i = (*len)++;
+    while (i > 0) {
+        Py_ssize_t parent = (i - 1) >> 1;
+        if (h[parent] <= v)
+            break;
+        h[i] = h[parent];
+        i = parent;
     }
-    double finish = start + duration;
-    eg->c_commits++;
-    if (book_c(eg, proc, start, finish) < 0)
+    h[i] = v;
+}
+
+static Py_ssize_t
+heap_pop(Py_ssize_t *h, Py_ssize_t *len)
+{
+    Py_ssize_t top = h[0];
+    Py_ssize_t v = h[--(*len)];
+    Py_ssize_t n = *len, i = 0;
+    for (;;) {
+        Py_ssize_t c = 2 * i + 1;
+        if (c >= n)
+            break;
+        if (c + 1 < n && h[c + 1] < h[c])
+            c++;
+        if (v <= h[c])
+            break;
+        h[i] = h[c];
+        i = c;
+    }
+    if (n)
+        h[i] = v;
+    return top;
+}
+
+/* run_list(rank, insertion, timed): repeatedly pop the ready task of
+ * smallest rank, commit its min-EFT candidate over every processor and
+ * release its children.  rank must be a permutation of 0..n-1.
+ * Returns (sweep_s, commit_s) when timed, else None. */
+static PyObject *
+Engine_run_list(EngineObject *eg, PyObject *args)
+{
+    PyObject *rank_o;
+    int use_insertion, timed;
+    if (!PyArg_ParseTuple(args, "Opp:run_list", &rank_o, &use_insertion,
+                          &timed))
         return NULL;
-    eg->proc_a[ti] = proc;
-    eg->start_a[ti] = start;
-    eg->finish_a[ti] = finish;
-    if (eg->plog_active && plog_append(eg, ti) < 0)
-        return NULL;
-    PyObject *events = events_to_list(eg);
-    if (events == NULL)
-        return NULL;
-    PyObject *res = Py_BuildValue("(ddN)", start, finish, events);
+    StaticsObject *st = eg->st;
+    Py_ssize_t n = st->n;
+    Py_ssize_t cells = n ? n : 1;
+    Py_ssize_t *rank = PyMem_Malloc((size_t)cells * sizeof(Py_ssize_t));
+    Py_ssize_t *order = PyMem_Malloc((size_t)cells * sizeof(Py_ssize_t));
+    Py_ssize_t *remaining = PyMem_Malloc((size_t)cells * sizeof(Py_ssize_t));
+    Py_ssize_t *heap = PyMem_Malloc((size_t)cells * sizeof(Py_ssize_t));
+    PyObject *res = NULL;
+    double sweep_s = 0.0, commit_s = 0.0;
+    if (!rank || !order || !remaining || !heap) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (fill_ssizes(rank_o, rank, n, "rank") < 0)
+        goto done;
+    for (Py_ssize_t i = 0; i < n; i++)
+        order[i] = -1;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (rank[i] < 0 || rank[i] >= n || order[rank[i]] >= 0) {
+            PyErr_SetString(PyExc_ValueError,
+                            "rank is not a permutation of the tasks");
+            goto done;
+        }
+        order[rank[i]] = i;
+    }
+    Py_ssize_t hlen = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        remaining[i] = st->pred_ptr[i + 1] - st->pred_ptr[i];
+        if (!remaining[i])
+            heap_push(heap, &hlen, rank[i]);
+    }
+    while (hlen) {
+        Py_ssize_t ti = order[heap_pop(heap, &hlen)];
+        double t0 = timed ? now_s() : 0.0;
+        Py_ssize_t bp;
+        double bs, bf;
+        if (best_candidate_c(eg, ti, use_insertion, NULL, st->p, &bp, &bs,
+                             &bf) < 0)
+            goto done;
+        double t1 = timed ? now_s() : 0.0;
+        if (commit_c(eg, ti, bp, -1, &bs, &bf) < 0)
+            goto done;
+        if (timed) {
+            sweep_s += t1 - t0;
+            commit_s += now_s() - t1;
+        }
+        for (Py_ssize_t k = st->succ_ptr[ti]; k < st->succ_ptr[ti + 1]; k++) {
+            Py_ssize_t c = st->succ_t[k];
+            if (--remaining[c] == 0)
+                heap_push(heap, &hlen, rank[c]);
+        }
+    }
+    if (timed) {
+        res = Py_BuildValue("(dd)", sweep_s, commit_s);
+    } else {
+        Py_INCREF(Py_None);
+        res = Py_None;
+    }
+done:
+    PyMem_Free(rank);
+    PyMem_Free(order);
+    PyMem_Free(remaining);
+    PyMem_Free(heap);
     return res;
+}
+
+/* a tuple-subclass record (TaskPlacement / CommEvent) from new refs;
+ * steals every item, even on failure */
+static PyObject *
+make_record(PyTypeObject *type, PyObject **items, Py_ssize_t count)
+{
+    PyObject *rec = NULL;
+    for (Py_ssize_t i = 0; i < count; i++) {
+        if (items[i] == NULL)
+            goto fail;
+    }
+    rec = type->tp_alloc(type, count);
+    if (rec == NULL)
+        goto fail;
+    for (Py_ssize_t i = 0; i < count; i++)
+        PyTuple_SET_ITEM(rec, i, items[i]);
+    return rec;
+fail:
+    for (Py_ssize_t i = 0; i < count; i++)
+        Py_XDECREF(items[i]);
+    return NULL;
+}
+
+/* materialize(tasks, placements, events, pcursor, ecursor): append the
+ * placements logged since pcursor to the placements dict and the
+ * transfer events logged since ecursor to the events list, as the
+ * records Schedule.place / Schedule.record_comm would have built. */
+static PyObject *
+Engine_materialize(EngineObject *eg, PyObject *args)
+{
+    PyObject *tasks, *placements, *events;
+    Py_ssize_t pcursor, ecursor;
+    if (!PyArg_ParseTuple(args, "O!O!O!nn:materialize", &PyList_Type, &tasks,
+                          &PyDict_Type, &placements, &PyList_Type, &events,
+                          &pcursor, &ecursor))
+        return NULL;
+    StaticsObject *st = eg->st;
+    if (PlacementType == NULL || CommEventType == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "record types not installed");
+        return NULL;
+    }
+    if (PyList_GET_SIZE(tasks) != st->n || pcursor < 0 ||
+        pcursor > eg->plog_len || ecursor < 0 || ecursor > eg->ev_len) {
+        PyErr_SetString(PyExc_ValueError, "bad materialize arguments");
+        return NULL;
+    }
+    for (Py_ssize_t k = pcursor; k < eg->plog_len; k++) {
+        Py_ssize_t ti = eg->plog[k];
+        PyObject *task = PyList_GET_ITEM(tasks, ti);
+        PyObject *items[4];
+        Py_INCREF(task);
+        items[0] = task;
+        items[1] = PyLong_FromSsize_t(eg->proc_a[ti]);
+        items[2] = PyFloat_FromDouble(eg->start_a[ti]);
+        items[3] = PyFloat_FromDouble(eg->finish_a[ti]);
+        PyObject *rec = make_record(PlacementType, items, 4);
+        if (rec == NULL)
+            return NULL;
+        int rc = PyDict_SetItem(placements, task, rec);
+        Py_DECREF(rec);
+        if (rc < 0)
+            return NULL;
+    }
+    for (Py_ssize_t k = ecursor; k < eg->ev_len; k++) {
+        const EvRec *ev = &eg->ev[k];
+        Py_ssize_t dst = st->edst[ev->e];
+        PyObject *items[8];
+        items[0] = PyList_GET_ITEM(tasks, st->esrc[ev->e]);
+        Py_INCREF(items[0]);
+        items[1] = PyList_GET_ITEM(tasks, dst);
+        Py_INCREF(items[1]);
+        items[2] = PyLong_FromSsize_t(ev->q);
+        items[3] = PyLong_FromSsize_t(eg->proc_a[dst]);
+        items[4] = PyFloat_FromDouble(ev->t);
+        items[5] = PyFloat_FromDouble(ev->t + ev->dur);
+        items[6] = PyFloat_FromDouble(st->edata[ev->e]);
+        items[7] = PyLong_FromLong(0);
+        PyObject *rec = make_record(CommEventType, items, 8);
+        if (rec == NULL)
+            return NULL;
+        int rc = PyList_Append(events, rec);
+        Py_DECREF(rec);
+        if (rc < 0)
+            return NULL;
+    }
+    Py_RETURN_NONE;
 }
 
 /* ------------------------------------------------------------------ */
 /* journal / copy / introspection                                     */
 /* ------------------------------------------------------------------ */
 
+/* Returns the (journal, placement-log, event-log) cursors to roll back
+ * to. */
 static PyObject *
 Engine_mark(EngineObject *eg, PyObject *Py_UNUSED(ignored))
 {
     if (eg->mark_depth == 0)
         eg->log_len = 0;  /* builder.mark: log = [] when None */
     eg->mark_depth += 1;
-    if (!eg->plog_active) {
-        eg->plog_active = 1;
-        eg->plog_len = 0;
-    }
-    return Py_BuildValue("(nn)", eg->log_len, eg->plog_len);
+    return Py_BuildValue("(nnn)", eg->log_len, eg->plog_len, eg->ev_len);
 }
 
-/* FlatBuilder.rollback + the placement part of SchedulerState.restore.
- * Returns (entries_undone, [task_ix...]) with tasks in undo order. */
+/* FlatBuilder.rollback + SchedulerState.restore: undoes the bookings,
+ * placements and transfer events logged after the mark.  Returns
+ * (entries_undone, [task_ix...]) with tasks in undo order. */
 static PyObject *
 Engine_rollback(EngineObject *eg, PyObject *args)
 {
-    Py_ssize_t cursor, pcursor;
-    if (!PyArg_ParseTuple(args, "nn:rollback", &cursor, &pcursor))
+    Py_ssize_t cursor, pcursor, ecursor;
+    if (!PyArg_ParseTuple(args, "nnn:rollback", &cursor, &pcursor, &ecursor))
         return NULL;
     if (eg->mark_depth == 0) {
         PyErr_SetString(TIMELINE_ERR, "rollback without an active mark");
         return NULL;
     }
     if (cursor < 0 || cursor > eg->log_len || pcursor < 0 ||
-        pcursor > eg->plog_len) {
+        pcursor > eg->plog_len || ecursor < 0 || ecursor > eg->ev_len) {
         PyErr_SetString(PyExc_ValueError, "bad rollback cursor");
         return NULL;
     }
@@ -1677,14 +1941,13 @@ Engine_rollback(EngineObject *eg, PyObject *args)
         PyList_SET_ITEM(undone, idx++, v);
     }
     eg->plog_len = pcursor;
-    if (eg->mark_depth == 0)
-        eg->plog_active = 0;
+    eg->ev_len = ecursor;
     return Py_BuildValue("(nN)", entries, undone);
 }
 
-/* independent deep copy of committed state (FlatBuilder.copy +
- * booker.rebind semantics: fresh tentative layers, fresh seed memo,
- * no journal, counters zeroed) */
+/* independent deep copy of committed state and the placement / event
+ * logs (FlatBuilder.copy + booker.rebind semantics: fresh tentative
+ * layers, fresh seed memo, no journal, counters zeroed) */
 static PyObject *
 Engine_copy(EngineObject *eg, PyObject *Py_UNUSED(ignored))
 {
@@ -1716,6 +1979,24 @@ Engine_copy(EngineObject *eg, PyObject *Py_UNUSED(ignored))
     memcpy(dup->proc_a, eg->proc_a, (size_t)eg->st->n * sizeof(Py_ssize_t));
     memcpy(dup->start_a, eg->start_a, (size_t)eg->st->n * sizeof(double));
     memcpy(dup->finish_a, eg->finish_a, (size_t)eg->st->n * sizeof(double));
+    if (eg->plog_len) {
+        dup->plog = PyMem_Malloc((size_t)eg->plog_len * sizeof(Py_ssize_t));
+        if (dup->plog == NULL) {
+            Py_DECREF(dup);
+            return PyErr_NoMemory();
+        }
+        memcpy(dup->plog, eg->plog, (size_t)eg->plog_len * sizeof(Py_ssize_t));
+        dup->plog_len = dup->plog_cap = eg->plog_len;
+    }
+    if (eg->ev_len) {
+        dup->ev = PyMem_Malloc((size_t)eg->ev_len * sizeof(EvRec));
+        if (dup->ev == NULL) {
+            Py_DECREF(dup);
+            return PyErr_NoMemory();
+        }
+        memcpy(dup->ev, eg->ev, (size_t)eg->ev_len * sizeof(EvRec));
+        dup->ev_len = dup->ev_cap = eg->ev_len;
+    }
     return (PyObject *)dup;
 }
 
@@ -1934,6 +2215,8 @@ static PyMethodDef Engine_methods[] = {
      METH_VARARGS, NULL},
     {"commit", (PyCFunction)Engine_commit, METH_VARARGS, NULL},
     {"schedule_on", (PyCFunction)Engine_schedule_on, METH_VARARGS, NULL},
+    {"run_list", (PyCFunction)Engine_run_list, METH_VARARGS, NULL},
+    {"materialize", (PyCFunction)Engine_materialize, METH_VARARGS, NULL},
     {"mark", (PyCFunction)Engine_mark, METH_NOARGS, NULL},
     {"rollback", (PyCFunction)Engine_rollback, METH_VARARGS, NULL},
     {"copy", (PyCFunction)Engine_copy, METH_NOARGS, NULL},
@@ -1958,6 +2241,10 @@ static PyMemberDef Engine_members[] = {
     {"num_rows", T_PYSSIZET, offsetof(EngineObject, num_rows), READONLY,
      NULL},
     {"model", T_INT, offsetof(EngineObject, model), READONLY, NULL},
+    {"num_placed", T_PYSSIZET, offsetof(EngineObject, plog_len), READONLY,
+     NULL},
+    {"num_events", T_PYSSIZET, offsetof(EngineObject, ev_len), READONLY,
+     NULL},
     {NULL}
 };
 
@@ -1994,6 +2281,25 @@ cext_set_exceptions(PyObject *Py_UNUSED(mod), PyObject *args)
 }
 
 static PyObject *
+cext_set_record_types(PyObject *Py_UNUSED(mod), PyObject *args)
+{
+    PyObject *placement, *event;
+    if (!PyArg_ParseTuple(args, "O!O!:_set_record_types", &PyType_Type,
+                          &placement, &PyType_Type, &event))
+        return NULL;
+    if (!PyType_IsSubtype((PyTypeObject *)placement, &PyTuple_Type) ||
+        !PyType_IsSubtype((PyTypeObject *)event, &PyTuple_Type)) {
+        PyErr_SetString(PyExc_TypeError, "record types must subclass tuple");
+        return NULL;
+    }
+    Py_INCREF(placement);
+    Py_XSETREF(PlacementType, (PyTypeObject *)placement);
+    Py_INCREF(event);
+    Py_XSETREF(CommEventType, (PyTypeObject *)event);
+    Py_RETURN_NONE;
+}
+
+static PyObject *
 cext_build_info(PyObject *Py_UNUSED(mod), PyObject *Py_UNUSED(ignored))
 {
     return Py_BuildValue(
@@ -2013,6 +2319,8 @@ cext_build_info(PyObject *Py_UNUSED(mod), PyObject *Py_UNUSED(ignored))
 static PyMethodDef cext_methods[] = {
     {"_set_exceptions", cext_set_exceptions, METH_VARARGS,
      "Install the repro exception types used by the engine."},
+    {"_set_record_types", cext_set_record_types, METH_VARARGS,
+     "Install the Schedule record types materialize() builds."},
     {"build_info", cext_build_info, METH_NOARGS,
      "Compiler / build provenance of this extension."},
     {NULL}

@@ -31,8 +31,10 @@ else:
     _IMPORT_ERROR = None
     # Booking raises the package's own exception types from C.
     from ..core.exceptions import PlatformError, SchedulingError, TimelineError
+    from ..core.schedule import CommEvent, TaskPlacement
 
     _cext._set_exceptions(SchedulingError, TimelineError, PlatformError)
+    _cext._set_record_types(TaskPlacement, CommEvent)
 
 #: One fallback warning per process (mirrors the object-path warn-once
 #: in :mod:`repro.heuristics.base`); tests reset it directly.

@@ -23,7 +23,10 @@ structures:
 Statics are cached per (graph, platform) on the graph itself (see
 :func:`compile_statics`) and invalidated on graph mutation, so replay,
 the incremental evaluator, and the list heuristics all share one
-compilation.
+compilation.  The Section 4.1 bottom levels and the list heuristics'
+priority rank are computed lazily over the CSR arrays and cached here
+too (:meth:`KernelStatics.bottom_levels`,
+:meth:`KernelStatics.priority_rank`).
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import numpy as np
 
 from ..core.exceptions import PlatformError
 from ..core.platform import Platform
+from ..core.ranking import bottom_levels_indexed, rank_of
 from ..core.taskgraph import TaskGraph
 
 TaskId = Hashable
@@ -77,6 +81,9 @@ class KernelStatics:
         "_exec_order",
         "link_rows",
         "_cext",
+        "_bl",
+        "_prio",
+        "_rank",
     )
 
     def __init__(self, graph: TaskGraph, platform: Platform) -> None:
@@ -178,6 +185,45 @@ class KernelStatics:
         #: Lazily-built flattened mirror for the compiled backend (see
         #: :func:`repro.kernel.cext_backend.engine_statics`).
         self._cext = None
+        self._bl: list[float] | None = None
+        self._prio: list[int] | None = None
+        self._rank: list[int] | None = None
+
+    # ------------------------------------------------------------------
+    # priorities (Section 4.1), cached with the statics
+    # ------------------------------------------------------------------
+    def bottom_levels(self) -> list[float]:
+        """Bottom level of every task, by task index (cached; do not mutate)."""
+        bl = self._bl
+        if bl is None:
+            platform = self.platform
+            bl = self._bl = bottom_levels_indexed(
+                self.topo_ix,
+                self.succ_rows,
+                self.edst,
+                self.edata,
+                self.weights,
+                platform.average_cycle_time(),
+                platform.average_link_time(),
+            )
+        return bl
+
+    def priority_list(self) -> list[int]:
+        """Task indices by decreasing bottom level, ties by index (cached)."""
+        prio = self._prio
+        if prio is None:
+            # a stable sort keeps equal levels in index order, also reversed
+            prio = self._prio = sorted(
+                range(self.num_tasks), key=self.bottom_levels().__getitem__, reverse=True
+            )
+        return prio
+
+    def priority_rank(self) -> list[int]:
+        """Position of every task in :meth:`priority_list` (cached)."""
+        rank = self._rank
+        if rank is None:
+            rank = self._rank = rank_of(self.priority_list())
+        return rank
 
     def exec_order(self) -> list[list[int]]:
         """Per task, the processors in increasing execution-time order.

@@ -141,3 +141,40 @@ class TestPriorityOrder:
         for v in ("z", "m", "a"):
             g.add_task(v, 1.0)
         assert priority_order(g, unit_platform) == ["z", "m", "a"]
+
+
+class TestCachedRanks:
+    """The statics-cached CSR ranks equal the dict-based reference exactly."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_indexed_bottom_levels_are_float_identical(self, seed, paper_platform):
+        from repro.core.ranking import bottom_levels_from
+        from repro.graphs import make_testbed
+
+        g = make_testbed("irregular", 300, seed=seed) if seed % 2 else make_testbed(
+            "layered", 60, seed=seed
+        )
+        want = bottom_levels_from(
+            g, averaged_weights(g, paper_platform), averaged_comms(g, paper_platform)
+        )
+        got = bottom_levels(g, paper_platform)
+        assert got.keys() == want.keys()
+        assert all(got[v].hex() == want[v].hex() for v in want)
+
+    def test_priority_rank_is_the_bottom_level_order(self, paper_platform):
+        from repro.graphs import make_testbed
+        from repro.heuristics.base import rank_by_key
+        from repro.kernel import compile_statics
+
+        g = make_testbed("irregular", 200, seed=5)
+        kernel = compile_statics(g, paper_platform)
+        bl = bottom_levels(g, paper_platform)
+        assert kernel.priority_rank() == rank_by_key(kernel.tasks, lambda v: (-bl[v],))
+        assert priority_order(g, paper_platform) == [
+            kernel.tasks[i] for i in kernel.priority_list()
+        ]
+
+    def test_bottom_levels_returns_a_fresh_dict(self, chain, unit_platform):
+        first = bottom_levels(chain, unit_platform)
+        first["a"] = -1.0
+        assert bottom_levels(chain, unit_platform)["a"] > 0

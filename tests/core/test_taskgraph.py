@@ -139,6 +139,22 @@ class TestQueries:
         assert g.data("a", "b") == 5.0
         assert g.total_data() == 50.0
 
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), float("-inf")])
+    def test_setters_reject_what_constructors_reject(self, bad):
+        g = diamond()
+        with pytest.raises(GraphError, match="finite and >= 0"):
+            g.add_task("z", bad)
+        with pytest.raises(GraphError, match="finite and >= 0"):
+            g.add_dependency("a", "d", bad)
+        with pytest.raises(GraphError, match="finite and >= 0"):
+            g.set_weight("a", bad)
+        with pytest.raises(GraphError, match="finite and >= 0"):
+            g.set_data("a", "b", bad)
+        with pytest.raises(GraphError, match="finite and >= 0"):
+            g.scale_data(bad)
+        # a rejected update leaves the graph untouched
+        assert g.to_dict() == diamond().to_dict()
+
 
 class TestTraversal:
     def test_topological_order_is_topological(self):
@@ -161,6 +177,35 @@ class TestTraversal:
             g.validate()
         with pytest.raises(GraphError):
             g.topological_order()
+
+    def test_cycle_message_names_the_cycle(self):
+        g = diamond()
+        g.add_dependency("d", "a")
+        with pytest.raises(GraphError, match="contains a cycle: .*'d', 'a'"):
+            g.validate()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_topological_order_matches_networkx_lexicographic(self, seed):
+        from repro.graphs import make_testbed
+
+        g = make_testbed("irregular", 120, seed=seed) if seed % 2 else make_testbed(
+            "layered", 25, seed=seed
+        )
+        nxg = g.to_networkx()
+        index = {v: i for i, v in enumerate(nxg.nodes)}
+        want = tuple(nx.lexicographical_topological_sort(nxg, key=index.__getitem__))
+        assert g.topological_order() == want
+
+    def test_validate_is_the_cached_topological_order(self, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("networkx cycle search on a valid graph")
+
+        for name in ("is_directed_acyclic_graph", "find_cycle", "lexicographical_topological_sort"):
+            monkeypatch.setattr(nx, name, unused)
+        g = diamond()
+        g.validate()
+        assert g._topo == g.topological_order()
+        g.validate()
 
     def test_levels(self):
         g = diamond()
@@ -196,3 +241,61 @@ class TestSerialization:
         nxg = g.to_networkx()
         nxg.add_node("zzz")
         assert "zzz" not in g
+
+
+class TestCacheInvalidation:
+    """Every mutator clears the validation / order / statics / rank caches."""
+
+    MUTATORS = {
+        "add_task": lambda g: g.add_task("e", 5.0),
+        "add_dependency": lambda g: g.add_dependency("b", "c", 7.0),
+        "set_weight": lambda g: g.set_weight("d", 40.0),
+        "set_data": lambda g: g.set_data("c", "d", 1.0),
+        "scale_data": lambda g: g.scale_data(3.0),
+    }
+
+    @staticmethod
+    def warm(g, platform):
+        from repro.kernel import compile_statics
+
+        g.validate()
+        kernel = compile_statics(g, platform)
+        kernel.priority_rank()
+        return kernel
+
+    @pytest.mark.parametrize("mutator", sorted(MUTATORS))
+    def test_mutator_clears_every_cache(self, mutator, paper_platform):
+        from repro.core.ranking import averaged_comms, averaged_weights, bottom_levels_from
+        from repro.kernel import compile_statics
+
+        g = diamond()
+        kernel = self.warm(g, paper_platform)
+        assert g._topo is not None and kernel._bl is not None and kernel._rank is not None
+        self.MUTATORS[mutator](g)
+        assert g._topo is None  # the cached validation *is* the order
+        assert g._maps is None
+        assert g._kernel_cache is None  # statics, and the ranks they hold
+        fresh = compile_statics(g, paper_platform)
+        assert fresh is not kernel
+        assert fresh._bl is None and fresh._rank is None
+        # recomputed values follow the mutation
+        want = bottom_levels_from(
+            g, averaged_weights(g, paper_platform), averaged_comms(g, paper_platform)
+        )
+        assert dict(zip(fresh.tasks, fresh.bottom_levels())) == want
+
+    @pytest.mark.parametrize("backend", ["python", "cext"])
+    def test_cycle_closed_after_a_run_fails_the_next_run(self, backend, paper_platform):
+        from repro.heuristics import get_scheduler
+        from repro.kernel.backends import use_backend
+        from repro.kernel.cext_backend import cext_available
+
+        if backend == "cext" and not cext_available():
+            pytest.skip("cext extension not built")
+        g = diamond()
+        with use_backend(backend):
+            first = get_scheduler("heft").run(g, paper_platform, "one-port")
+            assert len(first.placements) == 4
+            g.add_dependency("d", "a", 1.0)
+            with pytest.raises(GraphError, match="cycle"):
+                get_scheduler("heft").run(g, paper_platform, "one-port")

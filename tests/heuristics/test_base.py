@@ -203,6 +203,18 @@ class TestReadyQueue:
         queue.push_back(task)
         assert queue.pop() == "x"
 
+    def test_integer_rank(self, vee):
+        # rank by insertion index: a=0, b=1, c=2 -> reverse priority
+        queue = ReadyQueue(vee, rank=[2, 1, 0])
+        assert queue.pop_chunk(2) == ["b", "a"]
+        assert queue.complete("a") == []
+        assert queue.complete("b") == ["c"]
+        assert queue.pop() == "c"
+
+    def test_key_or_rank_required(self, vee):
+        with pytest.raises(ConfigurationError):
+            ReadyQueue(vee)
+
     def test_mixed_type_ids_no_comparison_error(self):
         g = TaskGraph()
         g.add_task(("tuple", 1), 1.0)

@@ -55,6 +55,19 @@ class TestEquivalences:
                 assert sched.is_complete()
 
 
+class TestChunkBudgetMemo:
+    def test_count_limits_memoised_and_equal_to_optimal_distribution(self, paper_platform):
+        from repro.core.loadbalance import optimal_distribution
+        from repro.heuristics.ilha import _count_limits
+
+        _count_limits.cache_clear()
+        ILHA(b=8).run(lu_graph(10), paper_platform, "one-port")
+        info = _count_limits.cache_info()
+        assert info.hits > info.misses > 0
+        cts = tuple(paper_platform.cycle_times)
+        assert list(_count_limits(8, cts)) == list(optimal_distribution(8, cts))
+
+
 class TestToyExample:
     """Section 4.4 / Figure 4: ILHA with B >= 8 on the toy graph."""
 

@@ -66,6 +66,30 @@ def test_construction_identical_with_stats(name, model_name, backend, paper_plat
     assert stats.counters.get("builder.commits", 0) >= len(on.placements)
 
 
+@pytest.mark.skipif(not cext_available(), reason="cext extension not built")
+@pytest.mark.parametrize("model_name", MODELS)
+@pytest.mark.parametrize("name", SWEEP)
+def test_cext_reports_what_python_reports(name, model_name, paper_platform):
+    """The compiled engine (``run_list`` included) drains exactly the
+    python path's counters, and every heuristic opens the same spans."""
+    graph = layered_testbed(5, seed=2)
+    seen = {}
+    for backend in ("python", "cext"):
+        with use_backend(backend), collect() as stats, stage_detail_scope():
+            get_scheduler(name, **SCHEDULER_KWARGS.get(name, {})).run(
+                graph, paper_platform, make_model(paper_platform, model_name)
+            )
+        seen[backend] = (
+            stats.counters,
+            sorted({span[0] for span in stats.spans}),
+            {n: stats.timers[n][0] for n in ("stage.sweep", "stage.commit") if n in stats.timers},
+        )
+    assert seen["python"] == seen["cext"]
+    if name in ("heft", "pct", "ilha"):
+        assert seen["cext"][1] == ["phase.construct", "phase.rank", "phase.statics"]
+        assert seen["cext"][2]["stage.commit"] >= graph.num_tasks
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_stage_timers_are_opt_in(backend, paper_platform):
     """The per-stage breakdown timers (``stage.*``) only record inside
