@@ -282,12 +282,19 @@ class TaskGraph:
         """Flat-dict snapshot for tight loops (cached; see :class:`GraphMaps`)."""
         if self._maps is None:
             g = self._g
+            succs = {}
+            data = {}
+            for u, nbrs in g.adjacency():  # node order, then edge order
+                succs[u] = tuple(nbrs)
+                for v, attrs in nbrs.items():
+                    data[(u, v)] = attrs[DATA_KEY]
             self._maps = GraphMaps(
-                weight={v: g.nodes[v][WEIGHT_KEY] for v in g.nodes},
-                data={(u, v): g.edges[u, v][DATA_KEY] for u, v in g.edges},
-                preds={v: tuple(g.predecessors(v)) for v in g.nodes},
-                succs={v: tuple(g.successors(v)) for v in g.nodes},
-                index={v: i for i, v in enumerate(g.nodes)},
+                weight=dict(g.nodes(data=WEIGHT_KEY)),
+                data=data,
+                # the reverse view's adjacency is the raw predecessor dicts
+                preds={v: tuple(nbrs) for v, nbrs in g.reverse(copy=False).adjacency()},
+                succs=succs,
+                index={v: i for i, v in enumerate(g)},
             )
         return self._maps
 

@@ -82,7 +82,7 @@ def engine_statics(kernel):
     """
     st = kernel._cext
     if st is None:
-        exec_flat = [c for row in kernel.exec_ for c in row]
+        exec_flat = kernel.exec_np.ravel().tolist()
         links_flat = [c for row in kernel.link_rows for c in row]
         st = _cext.Statics(
             kernel.num_tasks,

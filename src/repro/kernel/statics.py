@@ -72,7 +72,7 @@ class KernelStatics:
         "succ_eix",
         "succ_rows",
         "pred_rows",
-        "hop0_node",
+        "_hop0_node",
         "topo_ix",
         "base_indeg",
         "base_entries",
@@ -123,38 +123,21 @@ class KernelStatics:
         self.num_nodes = n + m
 
         # -- CSR adjacency over edge indices ----------------------------
-        indeg = [0] * n
-        outdeg = [0] * n
-        for e in range(m):
-            outdeg[self.esrc[e]] += 1
-            indeg[self.edst[e]] += 1
-        self.pred_ptr = self._ptr(indeg)
-        self.succ_ptr = self._ptr(outdeg)
-        pred_fill = list(self.pred_ptr)
-        succ_fill = list(self.succ_ptr)
-        self.pred_eix = [0] * m
-        self.succ_eix = [0] * m
-        for e in range(m):
-            u, v = self.esrc[e], self.edst[e]
-            self.succ_eix[succ_fill[u]] = e
-            succ_fill[u] += 1
-            self.pred_eix[pred_fill[v]] = e
-            pred_fill[v] += 1
-
         #: Row views of the CSR arrays: ``succ_rows[i]`` / ``pred_rows[i]``
-        #: are the edge indices leaving / entering task ``i``.  Built once
-        #: so hot loops iterate plain lists with no per-call slicing.
-        self.succ_rows: list[list[int]] = [
-            self.succ_eix[self.succ_ptr[i] : self.succ_ptr[i + 1]] for i in range(n)
-        ]
-        self.pred_rows: list[list[int]] = [
-            self.pred_eix[self.pred_ptr[i] : self.pred_ptr[i + 1]] for i in range(n)
-        ]
-        #: Direct-transfer lookup: ``(src, dst, 0)`` -> transfer-slot node
-        #: index ``n + e`` (exactly the hop keys the one-port model books).
-        self.hop0_node: dict[tuple, int] = {
-            (u, v, 0): n + e for e, (u, v) in enumerate(self.edges)
-        }
+        #: are the edge indices leaving / entering task ``i``, in edge
+        #: order.  Built once so hot loops iterate plain lists with no
+        #: per-call slicing.
+        self.succ_rows: list[list[int]] = [[] for _ in range(n)]
+        self.pred_rows: list[list[int]] = [[] for _ in range(n)]
+        for e, (u, v) in enumerate(zip(self.esrc, self.edst)):
+            self.succ_rows[u].append(e)
+            self.pred_rows[v].append(e)
+        indeg = [len(row) for row in self.pred_rows]
+        self.pred_ptr = self._ptr(indeg)
+        self.succ_ptr = self._ptr([len(row) for row in self.succ_rows])
+        self.pred_eix = [e for row in self.pred_rows for e in row]
+        self.succ_eix = [e for row in self.succ_rows for e in row]
+        self._hop0_node: dict[tuple, int] | None = None
 
         #: The graph's deterministic topological order, interned.
         self.topo_ix: list[int] = [tindex[v] for v in graph.topological_order()]
@@ -170,13 +153,14 @@ class KernelStatics:
         # -- cost tables -------------------------------------------------
         cts = platform.cycle_times
         self.num_procs = platform.num_processors
-        self.exec_: list[list[float]] = [
-            [w * t for t in cts] for w in self.weights
-        ]
-        #: ``n x p`` numpy mirror of :attr:`exec_` — the array backend's
-        #: all-processor sweeps read whole rows at once.  Same floats:
-        #: built from the already-computed products, not recomputed.
-        self.exec_np = np.array(self.exec_, dtype=np.float64).reshape(n, len(cts))
+        #: ``n x p`` execution times ``weight[i] * cycle_time[q]`` (one
+        #: IEEE double product each, as Python would compute it), with
+        #: the plain-list copy the scalar hot loops index.  The array
+        #: backend's all-processor sweeps read whole rows of the array.
+        self.exec_np = np.multiply.outer(
+            np.array(self.weights, dtype=np.float64), np.array(cts, dtype=np.float64)
+        ).reshape(n, len(cts))
+        self.exec_: list[list[float]] = self.exec_np.tolist()
         self._exec_order: list[list[int]] | None = None
         self.link_rows: tuple[tuple[float, ...], ...] = platform.link_rows()
         #: True when every link is finite: hot loops skip the per-edge
@@ -224,6 +208,19 @@ class KernelStatics:
         if rank is None:
             rank = self._rank = rank_of(self.priority_list())
         return rank
+
+    @property
+    def hop0_node(self) -> dict[tuple, int]:
+        """Direct-transfer lookup: ``(src, dst, 0)`` -> transfer-slot node
+        index ``n + e`` (exactly the hop keys the one-port model books);
+        built on first use."""
+        hop0 = self._hop0_node
+        if hop0 is None:
+            n = self.num_tasks
+            hop0 = self._hop0_node = {
+                (u, v, 0): n + e for e, (u, v) in enumerate(self.edges)
+            }
+        return hop0
 
     def exec_order(self) -> list[list[int]]:
         """Per task, the processors in increasing execution-time order.
