@@ -236,14 +236,25 @@ class SchedulerState:
             return self.kernel.priority_rank()
         return rank_by_key(self.kernel.tasks, key)
 
-    def run_list(self, rank: Sequence[int]) -> Schedule:
+    def run_list(
+        self,
+        rank: Sequence[int],
+        chunk: int = 1,
+        limits: Sequence[Sequence[int]] | None = None,
+    ) -> Schedule:
         """Schedule every task in list order and return the schedule.
 
-        Repeatedly takes the ready task of smallest ``rank`` (a
-        permutation of the task indices, see :meth:`priority_rank`),
-        commits its :meth:`best_candidate` over all processors and
-        releases its children.  This loop is the reference; the compiled
-        engine runs the same loop in one call.
+        Ready tasks leave a heap keyed by ``rank`` (a permutation of the
+        task indices, see :meth:`priority_rank`) ``chunk`` at a time.
+        Each task commits its :meth:`best_candidate` over all processors
+        — HEFT and PCT, with ``chunk=1``.  With ``limits`` (ILHA's Step-1
+        count budgets, ``limits[k - 1][q]`` for a chunk of ``k`` tasks) a
+        chunk task whose parents all sit on one processor ``q`` is first
+        placed there, with no communication, while ``q``'s budget lasts.
+        A chunk's children are released once the whole chunk is placed.
+
+        This loop is the reference; the compiled engine runs the same
+        loop in one call.
         """
         kernel = self.kernel
         tasks, edst, succ_rows = kernel.tasks, kernel.edst, kernel.succ_rows
@@ -255,13 +266,29 @@ class SchedulerState:
         heapq.heapify(heap)
         best_candidate, commit = self.best_candidate, self.commit
         while heap:
-            ti = order[heapq.heappop(heap)]
-            commit(best_candidate(tasks[ti]))
-            for e in succ_rows[ti]:
-                child = edst[e]
-                remaining[child] -= 1
-                if not remaining[child]:
-                    heapq.heappush(heap, rank[child])
+            batch = [order[heapq.heappop(heap)] for _ in range(min(chunk, len(heap)))]
+            rest = batch
+            if limits is not None:  # Step 1: zero-communication placements
+                limit = limits[len(batch) - 1]
+                used = [0] * len(limit)
+                rest = []
+                for ti in batch:
+                    procs = self.parent_procs(tasks[ti]) if kernel.pred_rows[ti] else ()
+                    if len(procs) == 1:
+                        (proc,) = procs
+                        if used[proc] < limit[proc]:
+                            self.schedule_on(tasks[ti], proc)
+                            used[proc] += 1
+                            continue
+                    rest.append(ti)
+            for ti in rest:
+                commit(best_candidate(tasks[ti]))
+            for ti in batch:
+                for e in succ_rows[ti]:
+                    child = edst[e]
+                    remaining[child] -= 1
+                    if not remaining[child]:
+                        heapq.heappush(heap, rank[child])
         return self.schedule
 
     # ------------------------------------------------------------------

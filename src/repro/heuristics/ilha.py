@@ -183,6 +183,13 @@ class ILHA(Scheduler):
         b = self.b if self.b is not None else default_chunk_size(platform)
 
         with _obs_span("phase.construct"):
+            if self.budget == "counts" and not (
+                self.single_comm_scan or self.reschedule or self.respect_shares_step2
+            ):
+                # the paper's ILHA: the state's chunked list loop
+                cts = tuple(platform.cycle_times)
+                limits = [_count_limits(k, cts) for k in range(1, b + 1)]
+                return state.run_list(rank, chunk=b, limits=limits)
             queue = ReadyQueue(graph, rank=rank)
             while queue:
                 chunk = queue.pop_chunk(b)

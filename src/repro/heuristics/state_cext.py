@@ -219,18 +219,28 @@ class CextSchedulerState(SchedulerState):
     # ------------------------------------------------------------------
     # list scheduling
     # ------------------------------------------------------------------
-    def run_list(self, rank: Sequence[int]) -> Schedule:
+    def run_list(
+        self,
+        rank: Sequence[int],
+        chunk: int = 1,
+        limits: Sequence[Sequence[int]] | None = None,
+    ) -> Schedule:
         eng = self._eng
         if eng is None:
-            return super().run_list(rank)
+            return super().run_list(rank, chunk, limits)
+        if limits is not None:
+            limits = [q for limit in limits for q in limit]
         stats = self._stats
-        times = eng.run_list(rank, self.insertion, stats is not None and _stage_detail())
+        timed = stats is not None and _stage_detail()
+        times = eng.run_list(rank, self.insertion, timed, chunk, limits)
         if stats is not None:
             self._flush_counters()
             if times is not None:
-                n = self.kernel.num_tasks
-                stats.add_time("stage.sweep", times[0], n)
-                stats.add_time("stage.commit", times[1], n)
+                sweep_s, sweeps, commit_s, commits = times
+                if sweeps:
+                    stats.add_time("stage.sweep", sweep_s, sweeps)
+                if commits:
+                    stats.add_time("stage.commit", commit_s, commits)
         return self.schedule
 
     # ------------------------------------------------------------------

@@ -1702,30 +1702,70 @@ heap_pop(Py_ssize_t *h, Py_ssize_t *len)
     return top;
 }
 
-/* run_list(rank, insertion, timed): repeatedly pop the ready task of
- * smallest rank, commit its min-EFT candidate over every processor and
- * release its children.  rank must be a permutation of 0..n-1.
- * Returns (sweep_s, commit_s) when timed, else None. */
+/* the processor hosting every parent of ti, or -1 (no parents, or
+ * parents on several processors) — ILHA's zero-communication test */
+static Py_ssize_t
+sole_parent_proc(EngineObject *eg, Py_ssize_t ti)
+{
+    StaticsObject *st = eg->st;
+    Py_ssize_t lo = st->pred_ptr[ti], hi = st->pred_ptr[ti + 1];
+    Py_ssize_t proc = -1;
+    for (Py_ssize_t k = lo; k < hi; k++) {
+        Py_ssize_t pp = eg->proc_a[st->esrc[st->pred_eix[k]]];
+        if (k > lo && pp != proc)
+            return -1;
+        proc = pp;
+    }
+    return proc;
+}
+
+/* run_list(rank, insertion, timed, chunk=1, limits=None): the list
+ * scheduling loop of SchedulerState.run_list.  Tasks leave the ready
+ * heap (keyed by rank, a permutation of 0..n-1) chunk at a time.  With
+ * limits (ILHA's count budgets: limits[(k - 1) * p + q] for a chunk of
+ * k tasks) a chunk task whose parents all sit on one processor q goes
+ * there while q's budget lasts (step 1); every other task commits its
+ * min-EFT candidate over all processors (step 2, HEFT for chunk 1).
+ * Children are released once the whole chunk is placed.  Returns
+ * (sweep_s, sweeps, commit_s, commits) when timed, else None. */
 static PyObject *
 Engine_run_list(EngineObject *eg, PyObject *args)
 {
-    PyObject *rank_o;
+    PyObject *rank_o, *limits_o = Py_None;
     int use_insertion, timed;
-    if (!PyArg_ParseTuple(args, "Opp:run_list", &rank_o, &use_insertion,
-                          &timed))
+    Py_ssize_t chunk = 1;
+    if (!PyArg_ParseTuple(args, "Opp|nO:run_list", &rank_o, &use_insertion,
+                          &timed, &chunk, &limits_o))
         return NULL;
     StaticsObject *st = eg->st;
-    Py_ssize_t n = st->n;
+    Py_ssize_t n = st->n, p = st->p;
+    if (chunk < 1) {
+        PyErr_SetString(PyExc_ValueError, "chunk must be >= 1");
+        return NULL;
+    }
     Py_ssize_t cells = n ? n : 1;
     Py_ssize_t *rank = PyMem_Malloc((size_t)cells * sizeof(Py_ssize_t));
     Py_ssize_t *order = PyMem_Malloc((size_t)cells * sizeof(Py_ssize_t));
     Py_ssize_t *remaining = PyMem_Malloc((size_t)cells * sizeof(Py_ssize_t));
     Py_ssize_t *heap = PyMem_Malloc((size_t)cells * sizeof(Py_ssize_t));
+    Py_ssize_t *batch = PyMem_Malloc((size_t)(2 * chunk) * sizeof(Py_ssize_t));
+    Py_ssize_t *used = PyMem_Malloc((size_t)p * sizeof(Py_ssize_t));
+    Py_ssize_t *limits = NULL;
     PyObject *res = NULL;
     double sweep_s = 0.0, commit_s = 0.0;
-    if (!rank || !order || !remaining || !heap) {
+    Py_ssize_t sweeps = 0, commits = 0;
+    if (!rank || !order || !remaining || !heap || !batch || !used) {
         PyErr_NoMemory();
         goto done;
+    }
+    if (limits_o != Py_None) {
+        limits = PyMem_Malloc((size_t)(chunk * p) * sizeof(Py_ssize_t));
+        if (limits == NULL) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        if (fill_ssizes(limits_o, limits, chunk * p, "limits") < 0)
+            goto done;
     }
     if (fill_ssizes(rank_o, rank, n, "rank") < 0)
         goto done;
@@ -1745,29 +1785,64 @@ Engine_run_list(EngineObject *eg, PyObject *args)
         if (!remaining[i])
             heap_push(heap, &hlen, rank[i]);
     }
+    Py_ssize_t *rest = batch + chunk;
     while (hlen) {
-        Py_ssize_t ti = order[heap_pop(heap, &hlen)];
-        double t0 = timed ? now_s() : 0.0;
-        Py_ssize_t bp;
-        double bs, bf;
-        if (best_candidate_c(eg, ti, use_insertion, NULL, st->p, &bp, &bs,
-                             &bf) < 0)
-            goto done;
-        double t1 = timed ? now_s() : 0.0;
-        if (commit_c(eg, ti, bp, -1, &bs, &bf) < 0)
-            goto done;
-        if (timed) {
-            sweep_s += t1 - t0;
-            commit_s += now_s() - t1;
+        Py_ssize_t k = 0, nrest = 0;
+        while (hlen && k < chunk)
+            batch[k++] = order[heap_pop(heap, &hlen)];
+        if (limits) {  /* step 1: zero-communication placements */
+            const Py_ssize_t *lim = limits + (k - 1) * p;
+            memset(used, 0, (size_t)p * sizeof(Py_ssize_t));
+            for (Py_ssize_t j = 0; j < k; j++) {
+                Py_ssize_t ti = batch[j];
+                Py_ssize_t q = sole_parent_proc(eg, ti);
+                if (q < 0 || used[q] >= lim[q]) {
+                    rest[nrest++] = ti;
+                    continue;
+                }
+                double t0 = timed ? now_s() : 0.0;
+                double start, finish;
+                if (commit_c(eg, ti, q, use_insertion, &start, &finish) < 0)
+                    goto done;
+                if (timed) {
+                    commit_s += now_s() - t0;
+                    commits++;
+                }
+                used[q]++;
+            }
+        } else {
+            memcpy(rest, batch, (size_t)k * sizeof(Py_ssize_t));
+            nrest = k;
         }
-        for (Py_ssize_t k = st->succ_ptr[ti]; k < st->succ_ptr[ti + 1]; k++) {
-            Py_ssize_t c = st->succ_t[k];
-            if (--remaining[c] == 0)
-                heap_push(heap, &hlen, rank[c]);
+        for (Py_ssize_t j = 0; j < nrest; j++) {  /* step 2: min EFT */
+            Py_ssize_t ti = rest[j];
+            double t0 = timed ? now_s() : 0.0;
+            Py_ssize_t bp;
+            double bs, bf;
+            if (best_candidate_c(eg, ti, use_insertion, NULL, p, &bp, &bs,
+                                 &bf) < 0)
+                goto done;
+            double t1 = timed ? now_s() : 0.0;
+            if (commit_c(eg, ti, bp, -1, &bs, &bf) < 0)
+                goto done;
+            if (timed) {
+                sweep_s += t1 - t0;
+                commit_s += now_s() - t1;
+                sweeps++;
+                commits++;
+            }
+        }
+        for (Py_ssize_t j = 0; j < k; j++) {
+            Py_ssize_t ti = batch[j];
+            for (Py_ssize_t e = st->succ_ptr[ti]; e < st->succ_ptr[ti + 1]; e++) {
+                Py_ssize_t c = st->succ_t[e];
+                if (--remaining[c] == 0)
+                    heap_push(heap, &hlen, rank[c]);
+            }
         }
     }
     if (timed) {
-        res = Py_BuildValue("(dd)", sweep_s, commit_s);
+        res = Py_BuildValue("(dndn)", sweep_s, sweeps, commit_s, commits);
     } else {
         Py_INCREF(Py_None);
         res = Py_None;
@@ -1777,6 +1852,9 @@ done:
     PyMem_Free(order);
     PyMem_Free(remaining);
     PyMem_Free(heap);
+    PyMem_Free(batch);
+    PyMem_Free(used);
+    PyMem_Free(limits);
     return res;
 }
 

@@ -62,10 +62,52 @@ class TestChunkBudgetMemo:
 
         _count_limits.cache_clear()
         ILHA(b=8).run(lu_graph(10), paper_platform, "one-port")
-        info = _count_limits.cache_info()
-        assert info.hits > info.misses > 0
+        first = _count_limits.cache_info()
+        ILHA(b=8).run(lu_graph(10), paper_platform, "one-port")
+        second = _count_limits.cache_info()
+        assert first.misses == second.misses > 0
+        assert second.hits > first.hits
         cts = tuple(paper_platform.cycle_times)
         assert list(_count_limits(8, cts)) == list(optimal_distribution(8, cts))
+
+
+class TestChunkedListLoop:
+    """The plain ILHA runs ``SchedulerState.run_list`` in chunks; it must
+    place exactly what the chunk-by-chunk Steps 1-2 of ``_run_chunk``
+    (the variants' path) place."""
+
+    @staticmethod
+    def chunk_by_chunk(ilha, graph, platform):
+        from repro.heuristics.base import ReadyQueue, SchedulerState, make_model
+
+        state = SchedulerState(
+            graph, platform, make_model(platform, "one-port"), heuristic="ilha",
+            insertion=ilha.insertion,
+        )
+        queue = ReadyQueue(graph, rank=state.priority_rank(ilha.priority_key))
+        while queue:
+            chunk = queue.pop_chunk(ilha.b)
+            ilha._run_chunk(state, chunk)
+            for task in chunk:
+                queue.complete(task)
+        return state.schedule
+
+    @pytest.mark.parametrize("backend", ["python", "cext"])
+    @pytest.mark.parametrize("b", [1, 4, 38])
+    def test_run_list_equals_run_chunk(self, b, backend, paper_platform):
+        from repro.graphs import irregular_testbed
+        from repro.kernel.backends import use_backend
+        from repro.kernel.cext_backend import cext_available
+
+        if backend == "cext" and not cext_available():
+            pytest.skip("cext extension not built")
+        graph = irregular_testbed(120, seed=b)
+        ilha = ILHA(b=b)
+        with use_backend(backend):
+            got = ilha.run(graph, paper_platform, "one-port")
+            want = self.chunk_by_chunk(ilha, graph, paper_platform)
+        assert list(got.placements.items()) == list(want.placements.items())
+        assert got.comm_events == want.comm_events
 
 
 class TestToyExample:

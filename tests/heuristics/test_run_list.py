@@ -1,7 +1,8 @@
 """The list-scheduling loop: ``SchedulerState.run_list`` across engines.
 
-HEFT and PCT hand their whole loop to ``run_list``: the pure-Python
-flat state runs it task by task, the compiled engine in one C call.
+HEFT, PCT and the paper's ILHA hand their whole loop to ``run_list``
+(ILHA in chunks with Step-1 budgets): the pure-Python flat state runs
+it task by task, the compiled engine in one C call.
 The two must agree exactly — placements *in commit order* and transfer
 events *in booking order* — for every flat model, with and without
 insertion, under the default bottom-level rank and under a
@@ -17,7 +18,7 @@ from repro import Platform
 from repro.core import TaskGraph
 from repro.core.exceptions import PlatformError
 from repro.graphs import irregular_testbed, layered_testbed, lu_graph, toy_graph, toy_priority_key
-from repro.heuristics import HEFT, PCT
+from repro.heuristics import HEFT, ILHA, PCT
 from repro.heuristics.base import SchedulerState, make_model
 from repro.kernel.backends import use_backend
 from repro.kernel.cext_backend import cext_available
@@ -44,6 +45,9 @@ SCHEDULERS = {
     "heft-key": lambda: HEFT(priority_key=scrambled_key),
     "pct": lambda: PCT(),
     "pct-insertion": lambda: PCT(insertion=True),
+    "ilha": lambda: ILHA(),
+    "ilha-b4-append": lambda: ILHA(b=4, insertion=False),
+    "ilha-b8-key": lambda: ILHA(b=8, priority_key=scrambled_key),
 }
 
 
