@@ -111,6 +111,12 @@ def default_chunk_size(platform: Platform) -> int:
 class ILHA(Scheduler):
     """Chunked list scheduling with proportional load balancing.
 
+    With the default ``"counts"`` budget and no Section 4.4 variant the
+    whole run is :meth:`SchedulerState.run_list` in chunks of ``B`` (one
+    call on the compiled engine); the variants step through the chunks
+    here with :meth:`_run_chunk`, whose Steps 1-2 place exactly what that
+    loop places.
+
     Parameters
     ----------
     b:
@@ -186,10 +192,12 @@ class ILHA(Scheduler):
             if self.budget == "counts" and not (
                 self.single_comm_scan or self.reschedule or self.respect_shares_step2
             ):
-                # the paper's ILHA: the state's chunked list loop
+                # the paper's ILHA: the state's chunked list loop (a
+                # chunk never holds more than every task)
+                chunk = max(1, min(b, graph.num_tasks))
                 cts = tuple(platform.cycle_times)
-                limits = [_count_limits(k, cts) for k in range(1, b + 1)]
-                return state.run_list(rank, chunk=b, limits=limits)
+                limits = [_count_limits(k, cts) for k in range(1, chunk + 1)]
+                return state.run_list(rank, chunk=chunk, limits=limits)
             queue = ReadyQueue(graph, rank=rank)
             while queue:
                 chunk = queue.pop_chunk(b)
