@@ -28,9 +28,12 @@ task's parents once and books all processors in one pass.
 O(changed) scratch runs (ILHA's chunk pre-allocation) through the
 builder's undo journal.
 
-:class:`ReadyQueue` maintains the ready set ordered by priority, and the
-:func:`register_scheduler` registry lets experiments construct heuristics
-by name.  :func:`make_model` re-exports the models registry's single
+:meth:`~SchedulerState.run_list` is the one list-scheduling loop (HEFT,
+PCT, and ILHA in chunks): the compiled engine overrides it with a
+single call.  :class:`ReadyQueue` maintains a ready set ordered by
+integer priority rank for heuristics that step through it themselves,
+and the :func:`register_scheduler` registry lets experiments construct
+heuristics by name.  :func:`make_model` re-exports the models registry's single
 resolution path.
 """
 

@@ -4,10 +4,13 @@
  * hot sequential path of the flat construction kernel — gap search,
  * trial/commit/undo booking primitives, the one-port booker's
  * trial_est/commit_est (including the per-edge send-feasibility seed
- * memo), and the all-processor candidate sweep with its
- * maxpf/frontier/in-trial pruning — transliterated from
- * kernel/builder.py, models/one_port.py, models/variants.py,
- * models/macro_dataflow.py and heuristics/base.py.
+ * memo), the all-processor candidate sweep with its
+ * maxpf/frontier/in-trial pruning, and the list-scheduling loop of
+ * SchedulerState.run_list (ILHA's chunked Step 1 included) —
+ * transliterated from kernel/builder.py, models/one_port.py,
+ * models/variants.py, models/macro_dataflow.py and heuristics/base.py.
+ * The engine also logs placements and transfers in commit order and
+ * builds the Schedule's records from those logs (materialize).
  *
  * Bit-identity contract: every float computation below performs the
  * SAME IEEE-754 double operations in the SAME order as the Python

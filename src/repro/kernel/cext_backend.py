@@ -2,8 +2,8 @@
 
 :mod:`repro.kernel._cext` is a hand-written CPython extension holding
 the hot sequential booking loop — the FlatBuilder primitives, the flat
-bookers of the four flat models, and the all-processor candidate sweep
-— as one C engine over typed arrays (see ``_cextmodule.c``; its header
+bookers of the four flat models, the all-processor candidate sweep and
+the list-scheduling loop — as one C engine over typed arrays (see ``_cextmodule.c``; its header
 states the bit-identity contract with the pure-Python reference).
 
 This module is the *optional* half of the bargain: the extension is

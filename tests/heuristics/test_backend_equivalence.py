@@ -6,7 +6,7 @@ heuristic x flat-capable model x testbed, the accelerated backends —
 frontier propagation) and ``cext`` (``CextSchedulerState``: the
 compiled C booking engine) — produce *bit-identical* schedules:
 placements, starts, finishes, and communication events, exact float
-equality, against the pure-Python default.
+equality and the same commit order, against the pure-Python default.
 
 Also here: the backend registry surface (selection precedence, unknown
 names, the ``REPRO_BACKEND`` environment channel) and the
@@ -69,14 +69,14 @@ MODELS = ["one-port", "macro-dataflow", "uni-port", "no-overlap"]
 
 
 def assert_identical(a, b):
-    """Exact equality of two schedules, field by field."""
-    assert a.placements.keys() == b.placements.keys()
+    """Exact equality of two schedules, field by field, in commit order."""
+    assert list(a.placements) == list(b.placements)
     for task, placement in a.placements.items():
         other = b.placements[task]
         assert placement.proc == other.proc, f"proc drift on {task!r}"
         assert placement.start == other.start, f"start drift on {task!r}"
         assert placement.finish == other.finish, f"finish drift on {task!r}"
-    assert sorted(a.comm_events) == sorted(b.comm_events)
+    assert a.comm_events == b.comm_events
     assert a.makespan() == b.makespan()
 
 
