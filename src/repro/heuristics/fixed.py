@@ -72,13 +72,12 @@ class FixedAllocation(Scheduler):
         if missing:
             raise SchedulingError(f"allocation missing task(s) {missing[:5]!r}")
 
+        key = None  # bottom levels
         if self.order is not None:
             rank = {v: i for i, v in enumerate(self.order)}
             if len(rank) != graph.num_tasks:
                 raise SchedulingError("explicit order must cover every task once")
             key = lambda v: (rank[v],)  # noqa: E731
-        else:
-            key = None
 
         queue = ReadyQueue(graph, rank=state.priority_rank(key))
         while queue:

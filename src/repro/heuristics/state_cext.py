@@ -7,7 +7,8 @@ fixed points (seed memo included), gap search, commit, and the undo
 journal — through one :class:`repro.kernel._cext.Engine` instance: a C
 struct of typed arrays with no Python objects in the inner loop.
 :meth:`~CextSchedulerState.run_list` hands the engine the whole HEFT /
-PCT loop (ready heap, sweep, commit, release) as one call.
+PCT / ILHA loop (ready heap, ILHA's Step 1, sweep, commit, release) as
+one call.
 
 The engine is the only record of placements and transfers: it keeps
 them in commit-ordered logs (truncated by rollbacks), and the
