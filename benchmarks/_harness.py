@@ -38,12 +38,8 @@ def best_of(fn, rounds: int, repeats: int) -> float:
 
 def bench_env() -> dict:
     """Provenance stamp shared by every ``BENCH_*.json``."""
-    try:
-        import numpy
+    import numpy
 
-        numpy_version = numpy.__version__
-    except ImportError:  # the numpy backend is optional by design
-        numpy_version = None
     from repro.kernel.backends import current_backend_name
 
     return {
@@ -51,7 +47,7 @@ def bench_env() -> dict:
         "host": platform_mod.node(),
         "platform": platform_mod.platform(),
         "python": platform_mod.python_version(),
-        "numpy": numpy_version,
+        "numpy": numpy.__version__,
         "backend": current_backend_name(),
     }
 

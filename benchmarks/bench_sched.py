@@ -3,13 +3,13 @@
 Standalone script (not a pytest-benchmark module) so CI can run it and
 archive the result::
 
-    python benchmarks/bench_sched.py --quick --backend numpy --out BENCH_SCHED.json
+    python benchmarks/bench_sched.py --quick --backend python --out BENCH_SCHED.quick.json
 
 Measures, per heuristic x testbed x kernel backend:
 
 * **schedules/s** — full construction runs through the selected flat
-  ``SchedulerState`` backend (``python`` scalar loops or ``numpy``
-  fused sweeps + gap-indexed rows) vs the retained
+  ``SchedulerState`` backend (``python`` scalar loops or the ``cext``
+  compiled engine) vs the retained
   ``ObjectSchedulerState`` reference (forced with
   :func:`repro.heuristics.force_object_state`), interleaved inside each
   round so CPU-load drift cannot skew the ratio, with exact makespan
@@ -66,11 +66,11 @@ from repro.obs import collect, stage_detail_scope  # noqa: E402
 
 #: Acceptable stats-on construction slowdown per backend:
 #: instrumentation is slot cached, so anything past this is a hot-loop
-#: regression, not noise.  The compiled backend finishes 3-4x sooner
-#: than the interpreted tiers, so the same absolute stats cost (the
+#: regression, not noise.  The compiled backend finishes far sooner
+#: than the interpreted one, so the same absolute stats cost (the
 #: per-commit counter drain + comm-event records) is a larger *ratio*;
 #: its limit holds the absolute overhead to the interpreted budget.
-OBS_OVERHEAD_LIMIT = {"python": 1.20, "numpy": 1.20, "cext": 1.50}
+OBS_OVERHEAD_LIMIT = {"python": 1.20, "cext": 1.50}
 
 #: (label, factory) — representative constructions: the paper's two
 #: protagonists (ILHA at its recommended default B and at a small B)
@@ -306,9 +306,9 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke: fewer rounds, smaller testbeds")
     parser.add_argument("--backend", default="all",
-                        choices=["python", "numpy", "cext", "both", "all"],
-                        help="kernel backend(s) to measure: both = python+numpy, "
-                             "all = every available backend (default: all)")
+                        choices=["python", "cext", "all"],
+                        help="kernel backend(s) to measure: all = python, plus "
+                             "cext when built (default: all)")
     parser.add_argument("--stages", action="store_true",
                         help="per-stage breakdown (always on for full runs)")
     parser.add_argument("--baseline", default=None, metavar="JSON",
@@ -320,14 +320,12 @@ def main(argv=None) -> int:
                         help="output JSON path (default: BENCH_SCHED.json)")
     args = parser.parse_args(argv)
 
-    if args.backend == "both":
-        backends = ["python", "numpy"]
-    elif args.backend == "all":
-        backends = ["python", "numpy"]
+    if args.backend == "all":
+        backends = ["python"]
         if cext_available():
             backends.append("cext")
         else:
-            print("note: cext extension not built; measuring python+numpy "
+            print("note: cext extension not built; measuring python only "
                   "(build with: python setup.py build_ext --inplace)")
     else:
         backends = [args.backend]

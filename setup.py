@@ -65,11 +65,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    # numpy/networkx are optional accelerators: the package degrades to
-    # pure-Python paths without them, so they are not hard requirements.
+    install_requires=["numpy", "networkx"],
     extras_require={
-        "accel": ["numpy"],
-        "graphs": ["networkx"],
         "test": ["pytest", "hypothesis"],
     },
     ext_modules=[

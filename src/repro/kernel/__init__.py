@@ -57,7 +57,6 @@ same ``max`` over the same operands, same single addition per node —
 the cross-check suite in ``tests/kernel`` asserts exact agreement.
 """
 
-from . import array_backend as _array_backend  # noqa: F401  (registers "numpy")
 from . import cext_backend as _cext_backend  # noqa: F401  (registers "cext")
 from .backends import (
     available_backends,

@@ -15,7 +15,7 @@
  * Bit-identity contract: every float computation below performs the
  * SAME IEEE-754 double operations in the SAME order as the Python
  * source it mirrors (CPython floats are C doubles), so schedules are
- * bit-identical to the python and numpy backends.  When editing,
+ * bit-identical to the python backend.  When editing,
  * change the Python reference first, then mirror it here — never
  * "optimize" an expression into a different association.
  */

@@ -1,12 +1,12 @@
-"""Kernel backend registry: pure-Python vs vectorized implementations.
+"""Kernel backend registry: the pure-Python reference vs the compiled engine.
 
-The flat kernel has two interchangeable implementations of its hot
-primitives — the pure-Python reference (:mod:`repro.kernel.builder`,
-``SchedulerState``'s scalar sweeps) and the numpy array backend
-(:mod:`repro.kernel.array_backend`, ``ArraySchedulerState``).  Both
+The flat kernel has two interchangeable implementations of its booking
+loop — the pure-Python reference ``python`` (:mod:`repro.kernel.builder`,
+``SchedulerState``'s scalar sweeps) and the compiled ``cext`` engine
+(:mod:`repro.kernel.cext_backend`, ``CextSchedulerState``).  Both
 produce **bit-identical** schedules; they differ only in constant
-factors (the array backend wins on large instances, the scalar path on
-tiny ones).
+factors.  ``cext`` falls back to ``python`` when the extension is not
+built.
 
 Selection follows the models-registry pattern
 (:func:`repro.models.base.register_model`):

@@ -102,11 +102,11 @@ def engine_statics(kernel):
 
 @register_backend("cext")
 class CextBackend(KernelBackend):
-    """Compiled booking loop; schedules bit-identical to python/numpy.
+    """Compiled booking loop; schedules bit-identical to python.
 
     ``propagate`` is inherited from the base class: the compiled tier
-    covers construction (the booking loop); replay propagation already
-    has the numpy frontier path and is not the 1k-task bottleneck.
+    covers construction (the booking loop), and replay propagation
+    runs the pure-Python ``propagate_kahn``.
     """
 
     def state_class(self):

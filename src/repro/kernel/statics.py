@@ -78,7 +78,6 @@ class KernelStatics:
         "base_entries",
         "exec_",
         "exec_np",
-        "_exec_order",
         "link_rows",
         "_cext",
         "_bl",
@@ -155,13 +154,11 @@ class KernelStatics:
         self.num_procs = platform.num_processors
         #: ``n x p`` execution times ``weight[i] * cycle_time[q]`` (one
         #: IEEE double product each, as Python would compute it), with
-        #: the plain-list copy the scalar hot loops index.  The array
-        #: backend's all-processor sweeps read whole rows of the array.
+        #: the plain-list copy the scalar hot loops index.
         self.exec_np = np.multiply.outer(
             np.array(self.weights, dtype=np.float64), np.array(cts, dtype=np.float64)
         ).reshape(n, len(cts))
         self.exec_: list[list[float]] = self.exec_np.tolist()
-        self._exec_order: list[list[int]] | None = None
         self.link_rows: tuple[tuple[float, ...], ...] = platform.link_rows()
         #: True when every link is finite: hot loops skip the per-edge
         #: ``isfinite`` guard that partially connected platforms need.
@@ -221,20 +218,6 @@ class KernelStatics:
                 (u, v, 0): n + e for e, (u, v) in enumerate(self.edges)
             }
         return hop0
-
-    def exec_order(self) -> list[list[int]]:
-        """Per task, the processors in increasing execution-time order.
-
-        Lazily computed and cached (stable argsort: ties break by
-        processor index).  The array backend's fused selection walks
-        this order so a finish lower bound that only grows with the
-        duration can cut the walk short.
-        """
-        eo = self._exec_order
-        if eo is None:
-            eo = np.argsort(self.exec_np, axis=1, kind="stable").tolist()
-            self._exec_order = eo
-        return eo
 
     @staticmethod
     def _ptr(degrees: list[int]) -> list[int]:

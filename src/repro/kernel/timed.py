@@ -105,7 +105,6 @@ class TimedKernel:
         "_ov_finish",
         "_ov_stamp",
         "_gen",
-        "_succ_csr",
     )
 
     def __init__(self, statics: KernelStatics, with_preds: bool = False) -> None:
@@ -145,10 +144,6 @@ class TimedKernel:
         self._ov_finish: list[float] | None = None
         self._ov_stamp: list[int] | None = None
         self._gen = 0
-        #: Flat successor CSR of the one-shot form, built lazily by the
-        #: array backend's frontier propagation (safe to cache: only
-        #: ``from_decisions`` writes the one-shot arrays, exactly once).
-        self._succ_csr: tuple | None = None
 
     # ------------------------------------------------------------------
     # compile

@@ -105,48 +105,9 @@ class FlatBooker(ABC):
     the greedy first-finished-first message order of the EFT engine.
     Local parents (``parent_proc == proc``) contribute their finish
     time directly and book nothing.
-
-    **Array-backend sweep (optional).**  A booker may additionally
-    implement the all-processor sweep protocol consumed by
-    ``ArraySchedulerState`` (:mod:`repro.heuristics.state_array`):
-
-    * ``sweep_est(parents, sw)`` resolves the candidate's messages
-      *once* and fills the caller's sweep buffers ``sw`` — ``sw.est``
-      (float64 per processor: exact ESTs where provable, safe lower
-      bounds elsewhere), ``sw.status`` (2 = exact and shared, 1 =
-      parent-hosting, resolve lazily via ``resolve_dest``, 0 = fall
-      back to scalar ``trial_est``) and ``sw.events`` (the resolved
-      ``(edge_ix, src_proc, start, duration)`` records valid for every
-      status-2 processor).  Returns False when the parent set is not
-      sweepable (e.g. heterogeneous link rows) — the caller then uses
-      the scalar path.
-    * ``resolve_dest(proc)`` exactly resolves a status-1 processor from
-      the last ``sweep_est`` call; returns ``(est, events)`` or ``None``
-      when exactness cannot be proven (caller falls back to scalar).
-    * ``commit_resolved(events, proc)`` commits previously resolved
-      events — the same bookings ``commit_est`` would re-derive.
-    * ``sweep_select(parents, exec_row, order_row, gap_fit, insertion,
-      procs)`` (optional on top of the sweep) fuses the sweep and the
-      minimum-EFT selection into one pass — ``order_row`` lists the
-      processors in increasing execution time (cached on the statics)
-      so a growing finish lower bound can cut the walk short —
-      returning ``(proc, start, finish, events_or_None)`` or ``None``
-      to bail; the array state prefers it over the split ``sweep_est``
-      protocol when present.
-
-    All sweep results must be bit-identical to ``trial_est`` /
-    ``commit_est``; the cross-backend fuzz suite asserts this.
     """
 
     __slots__ = ()
-
-    #: ``None`` marks a booker without the sweep protocol; the array
-    #: backend then routes every probe through scalar ``trial_est``.
-    sweep_est = None
-
-    #: ``None`` marks a booker without the fused sweep-and-select fast
-    #: path (the array backend then uses ``sweep_est`` if present).
-    sweep_select = None
 
     @abstractmethod
     def trial_est(self, parents, proc: int, cutoff: float = _INF, duration: float = 0.0) -> float:

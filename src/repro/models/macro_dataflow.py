@@ -41,24 +41,12 @@ TaskId = Hashable
 class MacroDataflowFlatBooker(FlatBooker):
     """Contention-free bookings: ``arrival = ready + data * link``."""
 
-    __slots__ = ("edata", "links", "check_links", "num_procs", "_hrow", "_prep", "_pprocs")
+    __slots__ = ("edata", "links", "check_links")
 
     def __init__(self, builder, statics) -> None:
         self.edata = statics.edata
         self.links = statics.link_rows
         self.check_links = not statics.all_links_finite
-        p = statics.num_procs
-        self.num_procs = p
-        # uniform off-diagonal link value per source row (None = hetero);
-        # see OnePortFlatBooker._init_sweep for the rationale
-        hrow: list[float | None] = []
-        for q in range(p):
-            row = self.links[q]
-            vals = {row[r] for r in range(p) if r != q}
-            hrow.append(vals.pop() if len(vals) == 1 else (0.0 if not vals else None))
-        self._hrow = hrow
-        self._prep: list[tuple] = []
-        self._pprocs: set[int] = set()
 
     def rebind(self, builder) -> "MacroDataflowFlatBooker":
         return self  # no rows: nothing is bound to a builder
@@ -94,67 +82,6 @@ class MacroDataflowFlatBooker(FlatBooker):
             if arr > est:
                 est = arr
         return est
-
-    # ------------------------------------------------------------------
-    # array-backend sweep (see FlatBooker docstring): with no shared
-    # resources the per-processor EST is pure arithmetic, so every
-    # non-parent processor shares one value and one event list exactly.
-    # ------------------------------------------------------------------
-    def sweep_est(self, parents, sw) -> bool:
-        if self.check_links:
-            return False
-        hrow = self._hrow
-        edata = self.edata
-        prep = self._prep
-        del prep[:]
-        pprocs = self._pprocs
-        pprocs.clear()
-        events: list[tuple] = []
-        est = 0.0
-        for pfinish, _pi, e, q in parents:
-            u = hrow[q]
-            if u is None:
-                return False
-            dur = edata[e] * u
-            prep.append((pfinish, e, q, dur))
-            pprocs.add(q)
-            events.append((e, q, pfinish, dur))
-            arr = pfinish + dur
-            if arr > est:
-                est = arr
-        est_l = sw.est
-        status = sw.status
-        for r in range(self.num_procs):
-            if r in pprocs:
-                status[r] = 1
-                m = 0.0
-                for pfinish, _e, q, dur in prep:
-                    arr = pfinish if q == r else pfinish + dur
-                    if arr > m:
-                        m = arr
-                est_l[r] = m  # exact, hence also a valid lower bound
-            else:
-                status[r] = 2
-                est_l[r] = est
-        sw.events = events
-        return True
-
-    def resolve_dest(self, proc: int):
-        """Exact EST + events for a parent-hosting destination."""
-        est = 0.0
-        events: list[tuple] = []
-        for pfinish, e, q, dur in self._prep:
-            if q == proc:
-                arr = pfinish
-            else:
-                events.append((e, q, pfinish, dur))
-                arr = pfinish + dur
-            if arr > est:
-                est = arr
-        return est, events
-
-    def commit_resolved(self, events, proc: int) -> None:
-        return  # contention-free: nothing is booked
 
 
 class MacroDataflowTrial(CommTrial):

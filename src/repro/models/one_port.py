@@ -28,7 +28,6 @@ from collections.abc import Hashable
 from ..core.exceptions import PlatformError
 from ..core.platform import Platform
 from ..core.ports import PortSet, PortSetOverlay
-from ..kernel.builder import row_next_fit
 from ..core.schedule import Schedule
 from ..obs import current as _obs_current
 from ..core.validation import ONE_PORT
@@ -52,19 +51,11 @@ class OnePortFlatBooker(FlatBooker):
         "builder",
         "send0",
         "recv0",
-        "num_procs",
         "edata",
         "links",
         "check_links",
         "seed_cache",
         "stats",
-        "_hrow",
-        "_prep",
-        "_pprocs",
-        "_Ts",
-        "_Te",
-        "_zl",
-        "_lbmsg",
     )
 
     def __init__(self, builder, statics) -> None:
@@ -72,7 +63,6 @@ class OnePortFlatBooker(FlatBooker):
         self.builder = builder
         self.send0 = builder.new_rows(p)
         self.recv0 = builder.new_rows(p)
-        self.num_procs = p
         self.edata = statics.edata
         self.links = statics.link_rows
         self.check_links = not statics.all_links_finite
@@ -89,43 +79,17 @@ class OnePortFlatBooker(FlatBooker):
         self.seed_cache: dict = {}
         #: Active obs collector, captured once (``None`` = stats off).
         self.stats = _obs_current()
-        self._init_sweep()
-
-    def _init_sweep(self) -> None:
-        #: Uniform off-diagonal link value per source row, or None for a
-        #: heterogeneous row: when a source sends at one cost to every
-        #: other processor, its message duration — and therefore its
-        #: send-row resolution — is destination-independent, which is
-        #: what lets ``sweep_est`` share one resolution across
-        #: processors.
-        links = self.links
-        p = self.num_procs
-        hrow: list[float | None] = []
-        for q in range(p):
-            row = links[q]
-            vals = {row[r] for r in range(p) if r != q}
-            hrow.append(vals.pop() if len(vals) == 1 else (0.0 if not vals else None))
-        self._hrow = hrow
-        # scratch reused across sweeps (one candidate at a time)
-        self._prep: list[tuple] = []
-        self._pprocs: set[int] = set()
-        self._Ts: list[float] = []
-        self._Te: list[float] = []
-        self._zl = 0.0
-        self._lbmsg = 0.0
 
     def rebind(self, builder) -> "OnePortFlatBooker":
         dup = object.__new__(OnePortFlatBooker)
         dup.builder = builder
         dup.send0 = self.send0
         dup.recv0 = self.recv0
-        dup.num_procs = self.num_procs
         dup.edata = self.edata
         dup.links = self.links
         dup.check_links = self.check_links
         dup.seed_cache = {}
         dup.stats = self.stats
-        dup._init_sweep()
         return dup
 
     # The booking loops below are hand-inlined: one transfer costs a
@@ -383,442 +347,6 @@ class OnePortFlatBooker(FlatBooker):
             if end > est:
                 est = end
         return est
-
-    # ------------------------------------------------------------------
-    # array-backend sweep (see FlatBooker docstring)
-    #
-    # Correctness rests on two facts about trial_est's fixed point:
-    #
-    # 1. *Three layers suffice.*  Within one candidate trial the
-    #    send-tentative windows of a source are a subset of the
-    #    recv-tentative windows (every earlier message books both), so
-    #    the feasible set of message j is "send-committed row of its
-    #    source ∧ recv-committed row of the destination ∧ all earlier
-    #    windows of this trial (T)".  Both fixed points compute the
-    #    unique least feasible instant >= the seed, so they agree.
-    #
-    # 2. *The recv row drops out below the window frontier.*  Let t* be
-    #    the least feasible instant of message j ignoring the recv
-    #    committed row, and wmin the minimum resolved window start over
-    #    the whole trial.  If the recv row's last end is <= wmin <= t*,
-    #    then [t*, t* + dur) is recv-free and every instant infeasible
-    #    without the recv row stays infeasible with it — the constrained
-    #    least instant is exactly t*.  A destination whose recv frontier
-    #    is at or below wmin (and which hosts no parent, so its message
-    #    set is the shared one) therefore has the *identical* ESTs — one
-    #    recv-free resolution serves them all.
-    #
-    # Uniform off-diagonal link rows (_hrow) make message durations
-    # destination-independent, which is what makes the shared resolution
-    # well-defined; a heterogeneous parent row bails to the scalar path.
-    # ------------------------------------------------------------------
-    def sweep_est(self, parents, sw) -> bool:
-        if self.check_links:
-            return False
-        b = self.builder
-        seeds = self.seed_cache
-        row_ver = b.row_ver
-        hrow = self._hrow
-        edata = self.edata
-        rows_s, rows_e = b.rows_s, b.rows_e
-        send0 = self.send0
-        prep = self._prep
-        del prep[:]
-        pprocs = self._pprocs
-        pprocs.clear()
-        zl = 0.0  # max finish over zero-duration messages
-        lbm = 0.0  # max (seed + dur) over real messages
-        for pfinish, _pi, e, q in parents:
-            u = hrow[q]
-            if u is None:
-                return False
-            pprocs.add(q)
-            dur = edata[e] * u
-            if dur == 0.0:
-                prep.append((pfinish, e, q, 0.0, pfinish))
-                if pfinish > zl:
-                    zl = pfinish
-            else:
-                rs = send0 + q
-                ver = row_ver[rs]
-                ent = seeds.get(e)
-                if (
-                    ent is not None
-                    and ent[0] == ver
-                    and ent[1] == q
-                    and ent[2] == pfinish
-                ):
-                    if self.stats is not None:
-                        self.stats.inc("oneport.seed.hit")
-                    seed = ent[3]
-                else:
-                    if self.stats is not None:
-                        self.stats.inc("oneport.seed.miss")
-                    seed = row_next_fit(rows_s[rs], rows_e[rs], pfinish, dur)
-                    seeds[e] = (ver, q, pfinish, seed)
-                prep.append((pfinish, e, q, dur, seed))
-                end = seed + dur
-                if end > lbm:
-                    lbm = end
-        self._zl = zl
-        self._lbmsg = lbm
-        est_gen, events, wmin = self._resolve(-1)
-        est_l = sw.est
-        status = sw.status
-        last_e = b.last_e
-        recv0 = self.recv0
-        lbg = lbm if lbm > zl else zl
-        for r in range(self.num_procs):
-            if r in pprocs:
-                status[r] = 1
-                m = zl
-                for pfinish, _e, q, dur, seed in prep:
-                    if q == r:
-                        if pfinish > m:
-                            m = pfinish
-                    elif dur != 0.0:
-                        end = seed + dur
-                        if end > m:
-                            m = end
-                est_l[r] = m
-            elif last_e[recv0 + r] <= wmin:
-                status[r] = 2
-                est_l[r] = est_gen
-            else:
-                status[r] = 0
-                est_l[r] = lbg
-        sw.events = events
-        return True
-
-    def sweep_select(
-        self, parents, exec_row, order_row, gap_fit, insertion, procs=None
-    ):
-        """Fused sweep + selection: the minimum-EFT processor in one pass.
-
-        The array state's hot path.  Resolves the candidate's messages
-        once (exactly as ``sweep_est`` would), evaluates the parent
-        hosts exactly (their ESTs are placement-specific), then walks
-        the remaining processors in increasing execution time
-        (``order_row``, cached on the statics) under the incumbent
-        cutoff: a shared EST plus a growing duration is a finish lower
-        bound that only increases along the walk, so the first
-        processor whose *generic* lower bound exceeds the incumbent
-        finish prunes all that follow.  ``trial_est`` is the fallback
-        only when exactness cannot be proven — the same tiers the
-        split protocol takes, without the per-processor bound array
-        and sort.  ``gap_fit`` finds the compute slot
-        (``GapRows.next_fit`` bound method).
-
-        Returns ``(proc, start, finish, events)`` — ``events`` is the
-        resolved window list when the winner's EST came from an exact
-        resolution (commit can book it directly), else ``None`` — or
-        ``None`` to bail to the scalar path (heterogeneous link row).
-        The cutoffs are strict and the tie-break total, so the winner is
-        the same ``(finish, start, proc)`` lexicographic minimum every
-        other path computes, independent of evaluation order.
-        """
-        if self.check_links:
-            return None
-        b = self.builder
-        seeds = self.seed_cache
-        row_ver = b.row_ver
-        hrow = self._hrow
-        edata = self.edata
-        rows_s, rows_e = b.rows_s, b.rows_e
-        send0 = self.send0
-        prep = self._prep
-        del prep[:]
-        hosts = self._pprocs
-        hosts.clear()
-        zl = 0.0  # max finish over zero-duration messages
-        lbm = 0.0  # max (seed + dur) over real messages
-        for pfinish, _pi, e, q in parents:
-            u = hrow[q]
-            if u is None:
-                return None
-            hosts.add(q)
-            dur = edata[e] * u
-            if dur == 0.0:
-                prep.append((pfinish, e, q, 0.0, pfinish))
-                if pfinish > zl:
-                    zl = pfinish
-            else:
-                rs = send0 + q
-                ver = row_ver[rs]
-                ent = seeds.get(e)
-                if (
-                    ent is not None
-                    and ent[0] == ver
-                    and ent[1] == q
-                    and ent[2] == pfinish
-                ):
-                    if self.stats is not None:
-                        self.stats.inc("oneport.seed.hit")
-                    seed = ent[3]
-                else:
-                    if self.stats is not None:
-                        self.stats.inc("oneport.seed.miss")
-                    # the gap index serves send rows too (bit-identical
-                    # to row_next_fit), so deep seed scans stay cheap
-                    seed = gap_fit(rs, pfinish, dur)
-                    seeds[e] = (ver, q, pfinish, seed)
-                prep.append((pfinish, e, q, dur, seed))
-                end = seed + dur
-                if end > lbm:
-                    lbm = end
-        est_gen, events, wmin = self._resolve(-1)
-        last_e = b.last_e
-        recv0 = self.recv0
-        lbg = lbm if lbm > zl else zl
-        trial_est = self.trial_est
-        resolve = self._resolve
-        stats = self.stats
-        bf = bs = _INF
-        bp = None
-        bev = None
-        if procs is not None and not isinstance(procs, (set, frozenset)):
-            procs = set(procs)
-        # parent hosts first: their ESTs skip their own messages, so no
-        # shared bound applies — and they seed the cutoff for the walk.
-        # Each host's EST is bounded below by its local parents' finishes
-        # and the other parents' seeds (seeds are destination-independent
-        # under uniform links), so hosts are walked in bound order with
-        # the same strict prune as everything else.
-        if len(hosts) > 1:
-            hb = []
-            for q in hosts:
-                m = zl
-                for pfinish, _e, r2, dur, seed in prep:
-                    if r2 == q:
-                        if pfinish > m:
-                            m = pfinish
-                    elif dur != 0.0:
-                        end = seed + dur
-                        if end > m:
-                            m = end
-                hb.append((m + exec_row[q], q))
-            hb.sort()
-        else:
-            hb = [(0.0, q) for q in hosts]
-        for mlb, proc in hb:
-            if procs is not None and proc not in procs:
-                continue
-            if mlb > bf:
-                break  # hosts are in bound order
-            duration = exec_row[proc]
-            ev = None
-            est = -1.0
-            if stats is not None:
-                stats.inc("builder.candidates")
-            e2, ev2, w2 = resolve(proc)
-            if last_e[recv0 + proc] <= w2:
-                est = e2
-                ev = ev2
-            if est < 0.0:
-                b.gen += 1  # begin_trial
-                est = trial_est(parents, proc, bf, duration)
-                if est + duration > bf:
-                    if stats is not None:
-                        stats.inc("builder.prune.abort")
-                    continue  # provably worse (possibly aborted)
-            ce = rows_e[proc]
-            if insertion:
-                if not ce or ce[-1] <= est:
-                    start = est
-                else:
-                    start = gap_fit(proc, est, duration)
-            else:
-                last = ce[-1] if ce else 0.0
-                start = est if est >= last else last
-            finish = start + duration
-            if finish < bf or (
-                finish == bf and (start < bs or (start == bs and proc < bp))
-            ):
-                bf, bs, bp, bev = finish, start, proc, ev
-        for i, proc in enumerate(order_row):
-            if proc in hosts or (procs is not None and proc not in procs):
-                continue
-            duration = exec_row[proc]
-            if lbg + duration > bf:
-                if stats is not None:
-                    stats.inc(
-                        "builder.prune.maxpf",
-                        sum(
-                            1
-                            for r2 in order_row[i:]
-                            if r2 not in hosts
-                            and (procs is None or r2 in procs)
-                        ),
-                    )
-                break  # durations only grow from here on
-            ev = None
-            if last_e[recv0 + proc] <= wmin:
-                if est_gen + duration > bf:
-                    if stats is not None:
-                        stats.inc("builder.prune.maxpf")
-                    continue  # exact EST known: provably worse
-                if stats is not None:
-                    stats.inc("builder.candidates")
-                est = est_gen
-                ev = events
-            else:
-                b.gen += 1  # begin_trial
-                if stats is not None:
-                    stats.inc("builder.candidates")
-                est = trial_est(parents, proc, bf, duration)
-                if est + duration > bf:
-                    if stats is not None:
-                        stats.inc("builder.prune.abort")
-                    continue  # provably worse (possibly aborted)
-            ce = rows_e[proc]
-            if insertion:
-                if not ce or ce[-1] <= est:
-                    start = est
-                else:
-                    start = gap_fit(proc, est, duration)
-            else:
-                last = ce[-1] if ce else 0.0
-                start = est if est >= last else last
-            finish = start + duration
-            if finish < bf or (
-                finish == bf and (start < bs or (start == bs and proc < bp))
-            ):
-                bf, bs, bp, bev = finish, start, proc, ev
-        return bp, bs, bf, bev
-
-    def resolve_dest(self, proc: int):
-        """Exact EST + events for a parent-hosting destination, if provable."""
-        est, events, wmin = self._resolve(proc)
-        if self.builder.last_e[self.recv0 + proc] <= wmin:
-            return est, events
-        return None
-
-    def _resolve(self, skip: int):
-        """Greedy recv-free resolution of the prepared messages.
-
-        Messages from source ``skip`` are treated as local (their finish
-        feeds the EST directly); each remaining real message runs the
-        same send-committed ∧ earlier-windows fixed point as trial_est.
-        Returns ``(est, events, wmin)`` with ``wmin`` the minimum window
-        start (inf when no real message) — the caller's exactness bound.
-        """
-        prep = self._prep
-        b = self.builder
-        rows_s, rows_e = b.rows_s, b.rows_e
-        send0 = self.send0
-        # nothing after the last real message ever reads trial windows
-        last_real = -1
-        for i in range(len(prep) - 1, -1, -1):
-            row = prep[i]
-            if row[3] != 0.0 and row[2] != skip:
-                last_real = i
-                break
-        if last_real < 0:
-            # no real message: every arrival is its parent's finish
-            est = 0.0
-            events = []
-            for pfinish, e, q, _dur, _seed in prep:
-                if q != skip:
-                    events.append((e, q, pfinish, 0.0))
-                if pfinish > est:
-                    est = pfinish
-            return est, events, _INF
-        T_s, T_e = self._Ts, self._Te
-        del T_s[:]
-        del T_e[:]
-        events: list[tuple] = []
-        est = 0.0
-        wmin = _INF
-        for j, (pfinish, e, q, dur, seed) in enumerate(prep):
-            if q == skip:
-                if pfinish > est:
-                    est = pfinish
-                continue
-            if dur == 0.0:
-                events.append((e, q, pfinish, 0.0))
-                if pfinish > est:
-                    est = pfinish
-                continue
-            t = seed
-            if not T_s:
-                # the seed *is* the send-committed fixed point (cache
-                # entries are version-checked), and with no earlier
-                # trial windows there is nothing else to sweep
-                end = t + dur
-                events.append((e, q, t, dur))
-                if t < wmin:
-                    wmin = t
-                if j < last_real:
-                    T_s.append(t)
-                    T_e.append(end)
-                if end > est:
-                    est = end
-                continue
-            scs, sce = rows_s[send0 + q], rows_e[send0 + q]
-            si = -1
-            while True:
-                moved = False
-                if sce and sce[-1] > t:
-                    if si < 0:
-                        si = bisect_right(scs, t) - 1
-                        if si >= 0 and sce[si] > t:
-                            t = sce[si]
-                            moved = True
-                        si += 1
-                    n = len(scs)
-                    lim = t + dur
-                    while si < n and scs[si] < lim:
-                        if sce[si] > t:
-                            t = sce[si]
-                            lim = t + dur
-                            moved = True
-                        si += 1
-                if T_e and T_e[-1] > t:
-                    yi = bisect_right(T_s, t) - 1
-                    if yi >= 0 and T_e[yi] > t:
-                        t = T_e[yi]
-                        moved = True
-                    yi += 1
-                    n = len(T_s)
-                    lim = t + dur
-                    while yi < n and T_s[yi] < lim:
-                        if T_e[yi] > t:
-                            t = T_e[yi]
-                            lim = t + dur
-                            moved = True
-                        yi += 1
-                if not moved:
-                    break
-            end = t + dur
-            events.append((e, q, t, dur))
-            if t < wmin:
-                wmin = t
-            if j < last_real:
-                i = bisect_right(T_s, t)
-                T_s.insert(i, t)
-                T_e.insert(i, end)
-            if end > est:
-                est = end
-        return est, events, wmin
-
-    def commit_resolved(self, events, proc: int) -> None:
-        """Commit previously resolved events (same bookings as commit_est).
-
-        Valid under the commit contract: the committed rows are
-        unchanged since the resolution, and committing the windows in
-        order reproduces exactly the constraint set each window was
-        resolved against (earlier windows land on the recv row — below
-        the exactness frontier — and on their own send rows).
-        """
-        b = self.builder
-        book = b.book
-        send0 = self.send0
-        rr = self.recv0 + proc
-        for _e, q, t, dur in events:
-            if dur != 0.0:
-                end = t + dur
-                book(send0 + q, t, end)
-                book(rr, t, end)
 
 
 class OnePortTrial(CommTrial):

@@ -35,12 +35,6 @@ CATALOG: dict[str, tuple[str, str]] = {
     # one-port booker (models/one_port.py)
     "oneport.seed.hit": ("count", "send-feasibility seed-memo hits"),
     "oneport.seed.miss": ("count", "send-feasibility seed-memo misses"),
-    # numpy gap index (kernel/array_backend.py)
-    "gap.searches": ("count", "gap queries answered by the indexed rows"),
-    "gap.scalar": ("count", "queries served by the scalar short-row bypass"),
-    "gap.indexed": ("count", "queries served by the block-max gap index"),
-    "gap.resync": ("count", "dirty-watermark row resyncs (mirror or extend)"),
-    "gap.debt_flush": ("count", "debt-gate trips forcing a deferred resync"),
     # local search (search/)
     "search.previews": ("count", "moves previewed through the incremental evaluator"),
     "search.commits": ("count", "previewed moves committed"),

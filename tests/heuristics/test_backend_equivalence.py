@@ -1,12 +1,12 @@
-"""Cross-backend equivalence: numpy and cext backends vs pure Python.
+"""Cross-backend equivalence: the cext backend vs pure Python.
 
 The acceptance property of the backend registry: for every registered
-heuristic x flat-capable model x testbed, the accelerated backends —
-``numpy`` (``ArraySchedulerState``: fused sweeps, gap-indexed rows,
-frontier propagation) and ``cext`` (``CextSchedulerState``: the
-compiled C booking engine) — produce *bit-identical* schedules:
-placements, starts, finishes, and communication events, exact float
-equality and the same commit order, against the pure-Python default.
+heuristic x flat-capable model x testbed, the compiled backend
+``cext`` (``CextSchedulerState``: the C booking engine) produces
+*bit-identical* schedules to the pure-Python default: placements,
+starts, finishes, and communication events, exact float equality and
+the same commit order.  A 200-hop chain at 1e9 time magnitudes checks
+the same at the scale where absolute epsilons break.
 
 Also here: the backend registry surface (selection precedence, unknown
 names, the ``REPRO_BACKEND`` environment channel) and the
@@ -23,7 +23,7 @@ import math
 import pytest
 
 from repro import Platform
-from repro.core import TaskGraph
+from repro.core import TaskGraph, validate_schedule
 from repro.core.exceptions import ConfigurationError
 from repro.graphs import irregular_testbed, layered_testbed, lu_graph
 from repro.heuristics import available_schedulers, get_scheduler
@@ -45,7 +45,6 @@ needs_cext = pytest.mark.skipif(
     not cext_available(), reason="cext extension not built"
 )
 ACCEL_BACKENDS = [
-    pytest.param("numpy"),
     pytest.param("cext", marks=needs_cext),
 ]
 
@@ -102,19 +101,40 @@ def test_accel_matches_python_for_every_heuristic(
     assert_identical(ref, acc)
 
 
+@needs_cext
 @pytest.mark.parametrize("name", ["heft", "ilha"])
 @pytest.mark.parametrize("seed", [0, 11, 23])
 def test_large_irregular_fuzz(name, seed, paper_platform):
-    """1000-task instances push rows past the gap-index threshold, so
-    the indexed scans, mirror extension, and the dirty-watermark
-    invalidation all run — and, on cext, the C engine's realloc'd rows,
-    journal, and seed memo — and must not move a single float."""
+    """1000-task instances grow the C engine's rows past their initial
+    capacity and exercise its journal and seed memo over long rows;
+    none of it may move a single float."""
     graph = irregular_testbed(1000, seed=seed)
     scheduler = get_scheduler(name)
     ref = run_on_backend(scheduler, graph, paper_platform, "one-port", "python")
-    for backend in ["numpy"] + (["cext"] if cext_available() else []):
-        acc = run_on_backend(scheduler, graph, paper_platform, "one-port", backend)
-        assert_identical(ref, acc)
+    acc = run_on_backend(scheduler, graph, paper_platform, "one-port", "cext")
+    assert_identical(ref, acc)
+
+
+@needs_cext
+def test_200_hop_chain_at_1e9_identical():
+    """The long-chain tolerance regression (200 hops, makespan past
+    1e9) on a fixed alternating allocation: the compiled engine keeps
+    the scale-aware semantics, so both schedules validate with the
+    shared ``time_tol`` and agree bit for bit."""
+    platform = Platform.homogeneous(2, cycle_time=1.0, link=1.0)
+    hops, scale = 200, 1e7
+    tasks = [(f"t{i}", scale) for i in range(hops + 1)]
+    edges = [(f"t{i}", f"t{i + 1}", scale / 2) for i in range(hops)]
+    graph = TaskGraph.from_specs(tasks, edges, name="chain-200")
+    alloc = {f"t{i}": i % 2 for i in range(hops + 1)}
+    scheduler = get_scheduler("fixed", alloc=alloc)
+    ref = run_on_backend(scheduler, graph, platform, "one-port", "python")
+    acc = run_on_backend(scheduler, graph, platform, "one-port", "cext")
+    validate_schedule(ref)
+    validate_schedule(acc)
+    assert ref.makespan() > 1e9
+    assert acc.state_impl == "flat-cext"
+    assert_identical(ref, acc)
 
 
 @pytest.mark.parametrize("backend", ACCEL_BACKENDS)
@@ -133,9 +153,6 @@ def test_state_impl_recorded_per_backend(paper_platform):
         sched = get_scheduler("heft").run(graph, paper_platform, "one-port")
     assert sched.state_impl == "flat-python"
     assert sched.summary()["state_impl"] == "flat-python"
-    with use_backend("numpy"):
-        sched = get_scheduler("heft").run(graph, paper_platform, "one-port")
-    assert sched.state_impl == "flat-numpy"
 
 
 @needs_cext
@@ -151,8 +168,7 @@ def test_state_impl_recorded_for_cext(paper_platform):
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_all_backends_registered(self):
-        names = available_backends()
-        assert "python" in names and "numpy" in names and "cext" in names
+        assert available_backends() == ["cext", "python"]
 
     def test_default_is_python(self, monkeypatch):
         monkeypatch.delenv(backends.BACKEND_ENV, raising=False)
@@ -160,11 +176,6 @@ class TestRegistry:
         assert current_backend_name() == "python"
 
     def test_environment_channel(self, monkeypatch):
-        monkeypatch.setenv(backends.BACKEND_ENV, "numpy")
-        monkeypatch.setattr(backends, "_ACTIVE", None)
-        assert current_backend_name() == "numpy"
-
-    def test_environment_channel_cext(self, monkeypatch):
         """cext is selectable through REPRO_BACKEND regardless of
         whether the extension is built — degradation happens at state
         construction, not at registry lookup."""
@@ -172,20 +183,21 @@ class TestRegistry:
         monkeypatch.setattr(backends, "_ACTIVE", None)
         assert current_backend_name() == "cext"
 
-    def test_explicit_cext_override_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(backends.BACKEND_ENV, "numpy")
-        with use_backend("cext"):
-            assert current_backend_name() == "cext"
+    def test_explicit_python_override_beats_environment(self, monkeypatch):
+        monkeypatch.setenv(backends.BACKEND_ENV, "cext")
+        with use_backend("python"):
+            assert current_backend_name() == "python"
 
     def test_unknown_environment_value_falls_back(self, monkeypatch):
-        monkeypatch.setenv(backends.BACKEND_ENV, "fortran")
         monkeypatch.setattr(backends, "_ACTIVE", None)
-        assert current_backend_name() == "python"
+        for name in ("fortran", "numpy"):  # numpy: a retired engine
+            monkeypatch.setenv(backends.BACKEND_ENV, name)
+            assert current_backend_name() == "python"
 
     def test_explicit_override_beats_environment(self, monkeypatch):
         monkeypatch.setenv(backends.BACKEND_ENV, "python")
-        with use_backend("numpy"):
-            assert current_backend_name() == "numpy"
+        with use_backend("cext"):
+            assert current_backend_name() == "cext"
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ConfigurationError):
@@ -195,8 +207,8 @@ class TestRegistry:
 
     def test_use_backend_restores(self):
         before = current_backend_name()
-        with use_backend("numpy"):
-            assert current_backend_name() == "numpy"
+        with use_backend("cext"):
+            assert current_backend_name() == "cext"
         assert current_backend_name() == before
 
 
@@ -218,29 +230,22 @@ class TestFallbackVisibility:
         alloc = {"u": 0, "v": 2, "w": 0}
         return get_scheduler("fixed", alloc=alloc), graph, line
 
-    def test_object_fallback_warns_once_and_is_recorded(self, caplog):
+    @pytest.mark.parametrize("backend", ["python", "cext"])
+    def test_object_fallback_warns_once_and_is_recorded(self, backend, caplog):
+        """Backend selection is a flat-path concern: the routed model
+        runs (and says so, once) on the object path under any backend."""
         scheduler, graph, line = self._routed_run()
         _FALLBACK_WARNED.discard("routed")
-        with caplog.at_level(logging.WARNING, logger="repro.heuristics"):
-            sched = scheduler.run(graph, line, RoutedOnePortModel(line))
-            again = scheduler.run(graph, line, RoutedOnePortModel(line))
+        with use_backend(backend):
+            with caplog.at_level(logging.WARNING, logger="repro.heuristics"):
+                sched = scheduler.run(graph, line, RoutedOnePortModel(line))
+                again = scheduler.run(graph, line, RoutedOnePortModel(line))
         fallback = [r for r in caplog.records if "no flat booker" in r.getMessage()]
         assert len(fallback) == 1, "expected exactly one fallback warning"
         assert fallback[0].levelno == logging.WARNING
         assert fallback[0].name == "repro.heuristics"
         assert sched.state_impl == "object"
         assert again.state_impl == "object"
-
-    def test_numpy_backend_does_not_apply_to_object_path(self, caplog):
-        """Backend selection is a flat-path concern: the routed model
-        still runs (and says so) on the object path under numpy."""
-        scheduler, graph, line = self._routed_run()
-        _FALLBACK_WARNED.discard("routed")
-        with use_backend("numpy"):
-            with caplog.at_level(logging.WARNING, logger="repro.heuristics"):
-                sched = scheduler.run(graph, line, RoutedOnePortModel(line))
-        assert sched.state_impl == "object"
-        assert any("no flat booker" in r.getMessage() for r in caplog.records)
 
     def test_flat_models_do_not_warn(self, paper_platform, caplog):
         with caplog.at_level(logging.WARNING, logger="repro.heuristics"):

@@ -56,7 +56,7 @@ class TestSchedulerState:
 
         # the flat class the active kernel backend asks for (None means
         # the default pure-Python SchedulerState), so the assertion
-        # holds under REPRO_BACKEND=numpy too
+        # holds under REPRO_BACKEND=cext too
         expected = current_backend().state_class() or SchedulerState
         state = SchedulerState(vee, platform, OnePortModel(platform))
         assert type(state) is expected

@@ -32,7 +32,7 @@ SCHEDULER_KWARGS = {
 #: Every model with a flat booker (the instrumented construction path).
 MODELS = ["one-port", "macro-dataflow", "uni-port", "no-overlap"]
 
-BACKENDS = ["python", "numpy"] + (["cext"] if cext_available() else [])
+BACKENDS = ["python"] + (["cext"] if cext_available() else [])
 
 SWEEP = [n for n in available_schedulers() if SCHEDULER_KWARGS.get(n, {}) is not None]
 
