@@ -5,8 +5,9 @@ heuristic x flat-capable model x testbed, the compiled backend
 ``cext`` (``CextSchedulerState``: the C booking engine) produces
 *bit-identical* schedules to the pure-Python default: placements,
 starts, finishes, and communication events, exact float equality and
-the same commit order.  A 200-hop chain at 1e9 time magnitudes checks
-the same at the scale where absolute epsilons break.
+the same commit order.  The same holds on degenerate inputs (1e9 time
+magnitudes, zero weights and volumes, all-equal costs) for every
+heuristic x model, and on a 200-hop chain past 1e9.
 
 Also here: the backend registry surface (selection precedence, unknown
 names, the ``REPRO_BACKEND`` environment channel) and the
@@ -84,13 +85,54 @@ def run_on_backend(scheduler, graph, platform, model_name, backend):
         return scheduler.run(graph, platform, make_model(platform, model_name))
 
 
+SWEEP = [n for n in available_schedulers() if SCHEDULER_KWARGS.get(n, {}) is not None]
+
+
+def _magnitude_1e9():
+    """Weights and volumes scaled by 1e7: makespans land past 1e9, where
+    absolute epsilons break."""
+    graph = irregular_testbed(30, seed=5)
+    for task in graph:
+        graph.set_weight(task, graph.weight(task) * 1e7)
+    return graph.scale_data(1e7)
+
+
+def _zero_costs():
+    """Every third task weightless and every other edge empty: zero-length
+    windows and instantaneous messages, which conflict with nothing."""
+    graph = layered_testbed(5, seed=7)
+    for i, task in enumerate(graph.topological_order()):
+        if i % 3 == 0:
+            graph.set_weight(task, 0.0)
+    for i, (src, dst) in enumerate(list(graph.edges())):
+        if i % 2 == 0:
+            graph.set_data(src, dst, 0.0)
+    return graph
+
+
+def _ties():
+    """Unit weights and volumes everywhere: estimates tie across
+    processors of a speed group, so only the tie-breaks decide."""
+    graph = layered_testbed(5, seed=7)
+    for task in graph:
+        graph.set_weight(task, 1.0)
+    for src, dst in list(graph.edges()):
+        graph.set_data(src, dst, 1.0)
+    return graph
+
+
+#: Degenerate and adversarial instances for the differential.
+ADVERSARIAL = {
+    "magnitude-1e9": _magnitude_1e9,
+    "zero-costs": _zero_costs,
+    "ties": _ties,
+}
+
+
 @pytest.mark.parametrize("backend", ACCEL_BACKENDS)
 @pytest.mark.parametrize("model_name", MODELS)
 @pytest.mark.parametrize("testbed", sorted(TESTBEDS))
-@pytest.mark.parametrize(
-    "name",
-    [n for n in available_schedulers() if SCHEDULER_KWARGS.get(n, {}) is not None],
-)
+@pytest.mark.parametrize("name", SWEEP)
 def test_accel_matches_python_for_every_heuristic(
     name, testbed, model_name, backend, paper_platform
 ):
@@ -98,6 +140,21 @@ def test_accel_matches_python_for_every_heuristic(
     graph = TESTBEDS[testbed]()
     ref = run_on_backend(scheduler, graph, paper_platform, model_name, "python")
     acc = run_on_backend(scheduler, graph, paper_platform, model_name, backend)
+    assert_identical(ref, acc)
+
+
+@needs_cext
+@pytest.mark.parametrize("model_name", MODELS)
+@pytest.mark.parametrize("case", sorted(ADVERSARIAL))
+@pytest.mark.parametrize("name", SWEEP)
+def test_adversarial_inputs_match_python(name, case, model_name, paper_platform):
+    """The differential on degenerate inputs: the compiled engine runs
+    and agrees with the reference bit for bit."""
+    scheduler = get_scheduler(name, **SCHEDULER_KWARGS.get(name, {}))
+    graph = ADVERSARIAL[case]()
+    ref = run_on_backend(scheduler, graph, paper_platform, model_name, "python")
+    acc = run_on_backend(scheduler, graph, paper_platform, model_name, "cext")
+    assert acc.state_impl == "flat-cext"
     assert_identical(ref, acc)
 
 

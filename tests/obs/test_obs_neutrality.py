@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.graphs import layered_testbed, lu_graph
+from repro.graphs import irregular_testbed, layered_testbed, lu_graph
 from repro.heuristics import available_schedulers, get_scheduler
 from repro.heuristics.base import make_model
 from repro.kernel.backends import use_backend
@@ -48,22 +48,37 @@ def assert_identical(a, b):
     assert a.makespan() == b.makespan()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("model_name", MODELS)
-@pytest.mark.parametrize("name", SWEEP)
-def test_construction_identical_with_stats(name, model_name, backend, paper_platform):
-    graph = lu_graph(6)
+def assert_construction_neutral(name, model_name, backend, graph, platform):
     factory = lambda: get_scheduler(name, **SCHEDULER_KWARGS.get(name, {}))  # noqa: E731
     with use_backend(backend):
-        off = factory().run(graph, paper_platform, make_model(paper_platform, model_name))
+        off = factory().run(graph, platform, make_model(platform, model_name))
         with collect() as stats:
-            on = factory().run(graph, paper_platform, make_model(paper_platform, model_name))
+            on = factory().run(graph, platform, make_model(platform, model_name))
     assert_identical(off, on)
     # the run must also have *observed* something on the flat path
     # (rescheduling heuristics commit trial placements too, so commits
     # is a lower bound, not an equality)
     assert on.state_impl != "object"
     assert stats.counters.get("builder.commits", 0) >= len(on.placements)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("model_name", MODELS)
+@pytest.mark.parametrize("name", SWEEP)
+def test_construction_identical_with_stats(name, model_name, backend, paper_platform):
+    assert_construction_neutral(name, model_name, backend, lu_graph(6), paper_platform)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("model_name", MODELS)
+@pytest.mark.parametrize("name", SWEEP)
+def test_irregular_construction_identical_with_stats(
+    name, model_name, backend, paper_platform
+):
+    """The same on an irregular DAG: several entry and exit tasks and
+    edges that skip levels, unlike the LU graph's regular waves."""
+    graph = irregular_testbed(30, seed=5)
+    assert_construction_neutral(name, model_name, backend, graph, paper_platform)
 
 
 @pytest.mark.skipif(not cext_available(), reason="cext extension not built")
