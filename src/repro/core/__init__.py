@@ -1,4 +1,4 @@
-"""Core substrates: task graphs, platforms, timelines, schedules, ranks."""
+"""Core substrates: task graphs, platforms, schedules, ranks, validation."""
 
 from .bounds import (
     critical_path_lower_bound,
@@ -24,7 +24,6 @@ from .loadbalance import (
     weight_shares,
 )
 from .platform import Platform
-from .ports import PortSet, PortSetOverlay
 from .ranking import (
     bottom_levels,
     critical_path,
@@ -46,7 +45,6 @@ from .serialization import (
     stable_digest,
 )
 from .taskgraph import TaskGraph
-from .timeline import Timeline, TimelineOverlay, earliest_joint_fit
 from .tolerance import TIME_EPS, time_tol
 from .validation import MACRO_DATAFLOW, ONE_PORT, is_valid, validate_schedule
 
@@ -59,17 +57,13 @@ __all__ = [
     "ONE_PORT",
     "Platform",
     "PlatformError",
-    "PortSet",
-    "PortSetOverlay",
     "ReproError",
     "Schedule",
     "SchedulingError",
     "TIME_EPS",
     "TaskGraph",
     "TaskPlacement",
-    "Timeline",
     "TimelineError",
-    "TimelineOverlay",
     "ValidationError",
     "b_candidates",
     "bottom_levels",
@@ -79,7 +73,6 @@ __all__ = [
     "makespan_lower_bound",
     "work_lower_bound",
     "distribution_makespan",
-    "earliest_joint_fit",
     "canonical_json",
     "graph_from_dict",
     "graph_to_dict",

@@ -79,7 +79,7 @@ class Schedule:
     placements: dict[TaskId, TaskPlacement] = field(default_factory=dict)
     comm_events: list[CommEvent] = field(default_factory=list)
     #: Which scheduler-state implementation produced this schedule
-    #: ("flat-python", "flat-cext", "object"; "" when hand-built) —
+    #: ("flat-python" or "flat-cext"; "" when hand-built) —
     #: surfaced so cross-backend comparisons can't silently compare
     #: different code paths.
     state_impl: str = ""

@@ -9,7 +9,8 @@ Checked rules
 -------------
 * completeness — every task placed exactly once, on a valid processor;
 * duration — ``finish - start == w(v) * t_alloc(v)``;
-* exclusivity — a processor executes at most one task at a time;
+* exclusivity — a processor executes at most one task at a time
+  (zero-length windows conflict with nothing, as in the gap search);
 * precedence — ``sigma(u) + w(u) t_q + comm <= sigma(v)`` for every edge;
 * communication events — each remote edge is served by a hop chain with
   correct endpoints, durations ``data * link``, and ordering;
@@ -64,16 +65,36 @@ def validate_durations(schedule: Schedule) -> None:
             )
 
 
+def first_overlap(intervals) -> tuple | None:
+    """The first overlapping pair among ``(start, finish, item)`` rows.
+
+    Zero-length intervals conflict with nothing (the gap search places
+    zero-weight tasks and empty transfers inside busy windows), so they
+    are skipped; each positive-length interval, in start order, is
+    checked against the latest finish seen so far rather than only its
+    neighbour.  Returns ``(earlier_item, later_item)`` or ``None``.
+    """
+    prev = None
+    for start, finish, item in sorted(intervals, key=lambda row: (row[0], row[1])):
+        if finish <= start:
+            continue
+        if prev is not None and prev[1] > start + time_tol(prev[1], start):
+            return prev[2], item
+        if prev is None or finish > prev[1]:
+            prev = (start, finish, item)
+    return None
+
+
 def validate_processor_exclusivity(schedule: Schedule) -> None:
     """No two tasks overlap on the same processor."""
     for proc in schedule.platform.processors:
-        placements = schedule.tasks_on(proc)
-        for a, b in zip(placements, placements[1:]):
-            if a.finish > b.start + time_tol(a.finish, b.start):
-                raise ValidationError(
-                    f"P{proc}: tasks {a.task!r} [{a.start}, {a.finish}) and "
-                    f"{b.task!r} [{b.start}, {b.finish}) overlap"
-                )
+        clash = first_overlap((p.start, p.finish, p) for p in schedule.tasks_on(proc))
+        if clash is not None:
+            a, b = clash
+            raise ValidationError(
+                f"P{proc}: tasks {a.task!r} [{a.start}, {a.finish}) and "
+                f"{b.task!r} [{b.start}, {b.finish}) overlap"
+            )
 
 
 def _arrival_via_events(schedule: Schedule, src: TaskId, dst: TaskId) -> float:
@@ -177,15 +198,15 @@ def validate_one_port(schedule: Schedule) -> None:
         recv[e.dst_proc].append(e)
     for direction, groups in (("send", send), ("receive", recv)):
         for proc, events in groups.items():
-            events.sort(key=lambda e: (e.start, e.finish))
-            for a, b in zip(events, events[1:]):
-                if a.finish > b.start + time_tol(a.finish, b.start):
-                    raise ValidationError(
-                        f"one-port violation on P{proc} ({direction}): "
-                        f"{a.src_task!r}->{a.dst_task!r} [{a.start}, {a.finish}) "
-                        f"overlaps {b.src_task!r}->{b.dst_task!r} "
-                        f"[{b.start}, {b.finish})"
-                    )
+            clash = first_overlap((e.start, e.finish, e) for e in events)
+            if clash is not None:
+                a, b = clash
+                raise ValidationError(
+                    f"one-port violation on P{proc} ({direction}): "
+                    f"{a.src_task!r}->{a.dst_task!r} [{a.start}, {a.finish}) "
+                    f"overlaps {b.src_task!r}->{b.dst_task!r} "
+                    f"[{b.start}, {b.finish})"
+                )
 
 
 def validate_schedule(schedule: Schedule, model: str | None = None) -> None:

@@ -10,12 +10,10 @@ from .base import (
     Scheduler,
     SchedulerState,
     available_schedulers,
-    force_object_state,
     get_scheduler,
     make_model,
     register_scheduler,
 )
-from .state_object import ObjectSchedulerState
 from .bil import BIL, best_imaginary_levels
 from .cpop import CPOP
 from .fixed import FixedAllocation
@@ -42,7 +40,6 @@ __all__ = [
     "IteratedLocalSearch",
     "MaxMin",
     "MinMin",
-    "ObjectSchedulerState",
     "PCT",
     "RandomMapper",
     "ReadyQueue",
@@ -53,7 +50,6 @@ __all__ = [
     "available_schedulers",
     "best_imaginary_levels",
     "default_chunk_size",
-    "force_object_state",
     "get_scheduler",
     "make_model",
     "register_scheduler",

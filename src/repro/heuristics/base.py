@@ -5,21 +5,19 @@ building a schedule, and its :meth:`~SchedulerState.evaluate` /
 :meth:`~SchedulerState.commit` pair implements the earliest-finish-time
 (EFT) engine all heuristics in this package are built on: evaluating a
 candidate books the task's incoming communications *tentatively*
-through the model's trial mechanism (Section 4.3 of the paper), so
+through the model's flat booker (Section 4.3 of the paper), so
 rejected candidates leave no trace.
 
-Since the builder layer (PR 5) the default implementation is **flat**:
-resource state lives in a :class:`~repro.kernel.builder.FlatBuilder`
+Resource state lives in a :class:`~repro.kernel.builder.FlatBuilder`
 (per-processor compute rows plus the model's port rows, all contiguous
 sorted float lists indexed by interned ids), placements and finish
 times are arrays indexed by task index, and a trial is a generation
 stamp — rejecting a candidate is O(1) with zero object churn.  Message
 booking is delegated to the model's
-:class:`~repro.models.base.FlatBooker`; models without one (multi-hop
-routing) and callers inside :func:`force_object_state` transparently
-get :class:`~repro.heuristics.state_object.ObjectSchedulerState`, the
-retained object-level reference implementation that the flat path is
-asserted bit-identical against.
+:class:`~repro.models.base.FlatBooker`.  This class is the readable
+reference engine (``flat-python``); the active kernel backend may
+substitute its compiled subclass (``flat-cext``) in
+:meth:`SchedulerState.__new__`, the one place an engine is chosen.
 
 :meth:`~SchedulerState.evaluate_all` is the batched sweep behind
 :meth:`~SchedulerState.best_candidate`: it resolves and sorts the
@@ -42,7 +40,6 @@ from __future__ import annotations
 import heapq
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Hashable, Iterable, Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -54,9 +51,8 @@ from ..core.taskgraph import TaskGraph
 from ..kernel import compile_statics
 from ..kernel.builder import FlatBuilder, row_next_fit
 from ..models import make_model
-from ..models.base import CommTrial, CommunicationModel
+from ..models.base import CommunicationModel
 from ..obs import current as _obs_current
-from ..obs import get_logger as _get_logger
 from ..obs import stage_detail as _stage_detail
 
 TaskId = Hashable
@@ -64,67 +60,19 @@ PriorityKey = Callable[[TaskId], tuple]
 
 _INF = float("inf")
 
-#: When True, ``SchedulerState(...)`` builds the object reference path
-#: for every model (see :func:`force_object_state`).
-_FORCE_OBJECT = False
-
-#: Model names already warned about falling back to the object path —
-#: once per process, so campaign sweeps are not flooded.
-_FALLBACK_WARNED: set[str] = set()
-
-#: Library diagnostics go through the ``repro.heuristics`` logger
-#: (satisfying services that capture logs); set ``REPRO_LOG`` to surface
-#: them on stderr — see :mod:`repro.obs.log`.
-_LOG = _get_logger("heuristics")
-
-
-def _warn_object_fallback(model) -> None:
-    name = (
-        getattr(model, "registry_name", "")
-        or getattr(model, "name", "")
-        or type(model).__name__
-    )
-    if name in _FALLBACK_WARNED:
-        return
-    _FALLBACK_WARNED.add(name)
-    _LOG.warning(
-        "model %r has no flat booker: scheduling falls back to the object "
-        "reference path (slower; kernel backend selection does not apply). "
-        "The active implementation is recorded in Schedule.state_impl.",
-        name,
-    )
-
-
-@contextmanager
-def force_object_state():
-    """Route every ``SchedulerState`` in the block through the object path.
-
-    The equivalence suite wraps whole heuristic runs in this to produce
-    reference schedules the flat path is compared against bit-for-bit.
-    """
-    global _FORCE_OBJECT
-    prev = _FORCE_OBJECT
-    _FORCE_OBJECT = True
-    try:
-        yield
-    finally:
-        _FORCE_OBJECT = prev
-
 
 @dataclass(slots=True)
 class Candidate:
     """Outcome of evaluating one (task, processor) placement.
 
-    ``trial`` carries the object path's tentative bookings; flat-path
-    candidates leave it ``None`` — their bookings are re-derived at
-    commit time from the unchanged committed state.
+    It carries no bookings: they are re-derived at commit time from the
+    unchanged committed state.
     """
 
     task: TaskId
     proc: int
     start: float
     finish: float
-    trial: CommTrial | None = None
 
 
 class SchedulerState:
@@ -162,16 +110,9 @@ class SchedulerState:
 
     def __new__(cls, graph, platform, model, heuristic="", insertion=True):
         if cls is SchedulerState:
-            if _FORCE_OBJECT or not getattr(model, "supports_flat", False):
-                from .state_object import ObjectSchedulerState
+            from ..kernel.backends import current_backend
 
-                if not _FORCE_OBJECT:
-                    _warn_object_fallback(model)
-                cls = ObjectSchedulerState
-            else:
-                from ..kernel.backends import current_backend
-
-                cls = current_backend().state_class() or cls
+            cls = current_backend().state_class(model) or cls
         return object.__new__(cls)
 
     def __init__(
@@ -462,8 +403,8 @@ class SchedulerState:
         # above the incumbent finish cannot win (ties still evaluate —
         # they may win on start time), so skipping it never changes the
         # selected candidate.  On partially linked platforms pruning is
-        # disabled: the object path probes every (parent, proc) link
-        # and raises PlatformError on a missing one, and skipping a
+        # disabled: the one-hop bookers probe every (parent, proc) link
+        # and raise PlatformError on a missing one, and skipping a
         # probe would skip that check too.
         prunable = self.kernel.all_links_finite
         maxpf = flat[-1][0] if flat else 0.0
@@ -531,8 +472,8 @@ class SchedulerState:
             kernel = self.kernel
             tasks, esrc, edata = kernel.tasks, kernel.esrc, kernel.edata
             record = self.schedule.record_comm
-            for e, q, start, dur in out:
-                record(tasks[esrc[e]], task, q, proc, start, dur, edata[e])
+            for e, q, r, start, dur, hop in out:
+                record(tasks[esrc[e]], task, q, r, start, dur, edata[e], hop)
         return est
 
     def _place(self, task: TaskId, ti: int, proc: int, start: float, finish: float) -> None:
@@ -549,11 +490,11 @@ class SchedulerState:
     def commit(self, candidate: Candidate) -> None:
         """Make a candidate permanent: comms, compute window, placement.
 
-        Flat candidates carry no trial object; their bookings are
-        re-derived from the actual placements against the committed
-        rows, which reproduces the evaluation's floats exactly under
-        the commit contract (class docstring) — candidates evaluated
-        with a hand-modified ``parents`` list are not committable.
+        Bookings are re-derived from the actual placements against the
+        committed rows, which reproduces the evaluation's floats exactly
+        under the commit contract (class docstring) — candidates
+        evaluated with a hand-modified ``parents`` list are not
+        committable.
         """
         task = candidate.task
         ti = self.kernel.intern(task)
@@ -594,8 +535,7 @@ class SchedulerState:
         return Candidate(task, proc, start, finish)
 
     # ------------------------------------------------------------------
-    # compute-row views (debugging / tests; mirrors the object path's
-    # ``state.compute`` timelines)
+    # compute-row views (debugging / tests)
     # ------------------------------------------------------------------
     @property
     def compute(self):

@@ -18,13 +18,19 @@ of a run, or mid-run by readers such as tests — appending only what
 was committed since the previous read.  A FlatBuilder-shaped facade
 keeps state introspection working for tests and debugging.
 
+The cext backend returns this class only for a model the engine has a
+booker for — the five registered models, matched by exact type
+(:func:`_model_code`); any other model, such as a user subclass, gets
+the pure-Python ``SchedulerState`` and records ``flat-python``.  There
+is therefore always an engine behind an instance.
+
 Bit-identity: the C engine transliterates the scalar reference
 (``builder.py``, the flat bookers, ``SchedulerState``'s sweep) —
 the same IEEE-754 double operations in the same order, the same strict
 ``(finish, start, proc)`` tie-break, the same guard-tolerance
 arithmetic — so schedules match the python backend float for float.
 The cross-backend fuzz suite asserts this for every registered
-heuristic × flat model × testbed.
+heuristic × model × testbed.
 
 Observability: the engine accumulates the booking counters internally
 (one C increment instead of a Python dict update per event) and this
@@ -44,34 +50,33 @@ from ..core.exceptions import SchedulingError
 from ..core.schedule import Schedule
 from ..kernel import _cext
 from ..kernel.cext_backend import engine_statics
+from ..models.macro_dataflow import MacroDataflowModel
+from ..models.one_port import OnePortModel
+from ..models.routing import RoutedOnePortModel
+from ..models.variants import NoOverlapOnePortModel, UniPortModel
 from ..obs import stage_detail as _stage_detail
 from .base import Candidate, SchedulerState
 
 TaskId = Hashable
 
 
+#: The engine's booker code per model type.  Exact type match on
+#: purpose: the one-port variants subclass and *share* ``name =
+#: "one-port"``-style metadata, and a user subclass overriding a booker
+#: hook must not be silently routed to the C implementation of its base
+#: class.
+_MODEL_CODES = {
+    OnePortModel: _cext.MODEL_ONE_PORT,
+    MacroDataflowModel: _cext.MODEL_MACRO,
+    UniPortModel: _cext.MODEL_UNI_PORT,
+    NoOverlapOnePortModel: _cext.MODEL_NO_OVERLAP,
+    RoutedOnePortModel: _cext.MODEL_ROUTED,
+}
+
+
 def _model_code(model) -> int | None:
-    """The engine's booker code for ``model`` (``None`` = no C booker).
-
-    Exact type match on purpose: the one-port variants subclass and
-    *share* ``name = "one-port"``-style metadata, and a user subclass
-    overriding a booker hook must not be silently routed to the C
-    implementation of its base class.
-    """
-    from ..models.macro_dataflow import MacroDataflowModel
-    from ..models.one_port import OnePortModel
-    from ..models.variants import NoOverlapOnePortModel, UniPortModel
-
-    t = type(model)
-    if t is OnePortModel:
-        return _cext.MODEL_ONE_PORT
-    if t is MacroDataflowModel:
-        return _cext.MODEL_MACRO
-    if t is UniPortModel:
-        return _cext.MODEL_UNI_PORT
-    if t is NoOverlapOnePortModel:
-        return _cext.MODEL_NO_OVERLAP
-    return None
+    """The engine's booker code for ``model`` (``None`` = no C booker)."""
+    return _MODEL_CODES.get(type(model))
 
 
 class _EngineBuilder:
@@ -161,16 +166,10 @@ class CextSchedulerState(SchedulerState):
     state_impl_name = "flat-cext"
 
     def _init_engine(self) -> None:
+        # the backend only picks this class for models with a C booker
         code = _model_code(self.model)
-        if code is None:
-            # Flat-capable model without a C booker (e.g. a subclass
-            # overriding a booking hook): run the inherited pure-Python
-            # engine and record what actually ran.
-            self._eng = None
-            super()._init_engine()
-            self._sched.state_impl = SchedulerState.state_impl_name
-            return
-        self._eng = eng = _cext.Engine(engine_statics(self.kernel), code)
+        routes = self.model.route_csr() if code == _cext.MODEL_ROUTED else (None, None)
+        self._eng = eng = _cext.Engine(engine_statics(self.kernel), code, *routes)
         #: ``builder`` is a read facade over the engine so state
         #: introspection keeps working; there is no Python booker.
         self.builder = _EngineBuilder(eng)
@@ -186,13 +185,12 @@ class CextSchedulerState(SchedulerState):
         """The schedule so far (bulk-appends the engine's new records)."""
         sched = self._sched
         eng = self._eng
-        if eng is not None:
-            placed, events = self._synced
-            if placed != eng.num_placed or events != eng.num_events:
-                eng.materialize(
-                    self.kernel.tasks, sched.placements, sched.comm_events, placed, events
-                )
-                self._synced = (eng.num_placed, eng.num_events)
+        placed, events = self._synced
+        if placed != eng.num_placed or events != eng.num_events:
+            eng.materialize(
+                self.kernel.tasks, sched.placements, sched.comm_events, placed, events
+            )
+            self._synced = (eng.num_placed, eng.num_events)
         return sched
 
     @schedule.setter
@@ -226,14 +224,11 @@ class CextSchedulerState(SchedulerState):
         chunk: int = 1,
         limits: Sequence[Sequence[int]] | None = None,
     ) -> Schedule:
-        eng = self._eng
-        if eng is None:
-            return super().run_list(rank, chunk, limits)
         if limits is not None:
             limits = [q for limit in limits for q in limit]
         stats = self._stats
         timed = stats is not None and _stage_detail()
-        times = eng.run_list(rank, self.insertion, timed, chunk, limits)
+        times = self._eng.run_list(rank, self.insertion, timed, chunk, limits)
         if stats is not None:
             self._flush_counters()
             if times is not None:
@@ -248,13 +243,9 @@ class CextSchedulerState(SchedulerState):
     # EFT engine
     # ------------------------------------------------------------------
     def _parents(self, ti: int) -> list[tuple[float, int, int, int]]:
-        if self._eng is None:
-            return super()._parents(ti)
         return self._eng.parents(ti)
 
     def parent_procs(self, task: TaskId) -> set[int]:
-        if self._eng is None:
-            return super().parent_procs(task)
         return {row[3] for row in self._eng.parents(self.kernel.intern(task))}
 
     def evaluate(
@@ -265,8 +256,6 @@ class CextSchedulerState(SchedulerState):
         insertion: bool | None = None,
     ) -> Candidate:
         eng = self._eng
-        if eng is None:
-            return super().evaluate(task, proc, parents, insertion)
         ti = self.kernel.intern(task)
         ins = self.insertion if insertion is None else insertion
         if parents is None:
@@ -282,14 +271,11 @@ class CextSchedulerState(SchedulerState):
         procs: Iterable[int] | None = None,
         insertion: bool | None = None,
     ) -> list[Candidate]:
-        eng = self._eng
-        if eng is None:
-            return super().evaluate_all(task, procs, insertion)
         ti = self.kernel.intern(task)
         ins = self.insertion if insertion is None else insertion
         if procs is not None and not isinstance(procs, (list, tuple, range)):
             procs = list(procs)
-        rows = eng.evaluate_all(ti, ins, procs)
+        rows = self._eng.evaluate_all(ti, ins, procs)
         return [Candidate(task, p, s, f) for p, s, f in rows]
 
     def best_candidate(
@@ -298,9 +284,6 @@ class CextSchedulerState(SchedulerState):
         procs: Iterable[int] | None = None,
         insertion: bool | None = None,
     ) -> Candidate:
-        eng = self._eng
-        if eng is None:
-            return super().best_candidate(task, procs, insertion)
         ti = self.kernel.intern(task)
         ins = self.insertion if insertion is None else insertion
         if procs is not None and not isinstance(procs, (list, tuple, range)):
@@ -308,7 +291,7 @@ class CextSchedulerState(SchedulerState):
         detail = self._stats is not None and _stage_detail()
         if detail:
             t0 = perf_counter()
-        res = eng.best_candidate(ti, ins, procs)
+        res = self._eng.best_candidate(ti, ins, procs)
         if detail:
             self._stats.add_time("stage.sweep", perf_counter() - t0)
         if res is None:
@@ -320,14 +303,11 @@ class CextSchedulerState(SchedulerState):
     # commits
     # ------------------------------------------------------------------
     def commit(self, candidate: Candidate) -> None:
-        eng = self._eng
-        if eng is None:
-            return super().commit(candidate)
         ti = self.kernel.intern(candidate.task)
         detail = self._stats is not None and _stage_detail()
         if detail:
             t0 = perf_counter()
-        eng.commit(ti, candidate.proc, candidate.start, candidate.finish)
+        self._eng.commit(ti, candidate.proc, candidate.start, candidate.finish)
         if detail:
             self._stats.add_time("stage.commit", perf_counter() - t0)
         if self._stats is not None:
@@ -336,15 +316,12 @@ class CextSchedulerState(SchedulerState):
     def schedule_on(
         self, task: TaskId, proc: int, insertion: bool | None = None
     ) -> Candidate:
-        eng = self._eng
-        if eng is None:
-            return super().schedule_on(task, proc, insertion)
         ti = self.kernel.intern(task)
         ins = self.insertion if insertion is None else insertion
         detail = self._stats is not None and _stage_detail()
         if detail:
             t0 = perf_counter()
-        start, finish = eng.schedule_on(ti, proc, ins)
+        start, finish = self._eng.schedule_on(ti, proc, ins)
         if detail:
             self._stats.add_time("stage.commit", perf_counter() - t0)
         if self._stats is not None:
@@ -356,8 +333,6 @@ class CextSchedulerState(SchedulerState):
     # ------------------------------------------------------------------
     @property
     def compute(self):
-        if self._eng is None:
-            return SchedulerState.compute.fget(self)
         views = self._compute_views
         if views is None:
             views = self._compute_views = [
@@ -370,19 +345,14 @@ class CextSchedulerState(SchedulerState):
     # scratch runs and snapshots
     # ------------------------------------------------------------------
     def mark(self):
-        if self._eng is None:
-            return super().mark()
         return self._eng.mark()
 
     def restore(self, mark) -> None:
-        eng = self._eng
-        if eng is None:
-            return super().restore(mark)
         _cursor, pcursor, ecursor = mark
         detail = self._stats is not None and _stage_detail()
         if detail:
             t0 = perf_counter()
-        _entries, undone = eng.rollback(*mark)
+        _entries, undone = self._eng.rollback(*mark)
         if detail:
             self._stats.add_time("stage.journal", perf_counter() - t0)
         # drop what was already materialized past the mark
@@ -399,10 +369,6 @@ class CextSchedulerState(SchedulerState):
             self._flush_counters()
 
     def snapshot(self) -> "CextSchedulerState":
-        if self._eng is None:
-            dup = super().snapshot()
-            dup._eng = None
-            return dup
         dup = object.__new__(type(self))
         dup.graph = self.graph
         dup.platform = self.platform

@@ -46,11 +46,10 @@ Who routes through the kernel
 * :class:`repro.search.IncrementalEvaluator` — load is ``from_point`` +
   one ordered pass; previews and commits are ``patch`` / ``apply``.
 * :class:`repro.heuristics.base.SchedulerState` — the HEFT/ILHA
-  EFT engine runs entirely on :class:`FlatBuilder` rows: candidate
-  trials, port bookings, compute slots, placements and finish times are
-  all flat arrays over the statics' interned ids (the object-level
-  reference implementation is retained in
-  :mod:`repro.heuristics.state_object`).
+  EFT engine runs entirely on :class:`FlatBuilder` rows for every
+  model, routed included: candidate trials, port bookings, compute
+  slots, placements and finish times are all flat arrays over the
+  statics' interned ids (the compiled engine mirrors it in C).
 
 The kernel computes bit-identical times to the object-level replay:
 same ``max`` over the same operands, same single addition per node —

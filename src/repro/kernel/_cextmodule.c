@@ -2,15 +2,17 @@
  *
  * A hand-written CPython extension (no Cython/mypyc dependency): the
  * hot sequential path of the flat construction kernel — gap search,
- * trial/commit/undo booking primitives, the one-port booker's
- * trial_est/commit_est (including the per-edge send-feasibility seed
- * memo), the all-processor candidate sweep with its
+ * trial/commit/undo booking primitives, the trial_est/commit_est of
+ * all five flat bookers (one-port with its per-edge send-feasibility
+ * seed memo, macro-dataflow, uni-port, no-overlap, and routed over a
+ * CSR route table), the all-processor candidate sweep with its
  * maxpf/frontier/in-trial pruning, and the list-scheduling loop of
  * SchedulerState.run_list (ILHA's chunked Step 1 included) —
  * transliterated from kernel/builder.py, models/one_port.py,
- * models/variants.py, models/macro_dataflow.py and heuristics/base.py.
- * The engine also logs placements and transfers in commit order and
- * builds the Schedule's records from those logs (materialize).
+ * models/variants.py, models/macro_dataflow.py, models/routing.py and
+ * heuristics/base.py.  The engine also logs placements and transfer
+ * hops in commit order and builds the Schedule's records from those
+ * logs (materialize).
  *
  * Bit-identity contract: every float computation below performs the
  * SAME IEEE-754 double operations in the SAME order as the Python
@@ -369,11 +371,12 @@ static PyTypeObject Statics_Type = {
 /* Engine: mutable booking state of one scheduling run                */
 /* ------------------------------------------------------------------ */
 
-/* model codes (mirrors cext_backend._MODEL_CODES) */
+/* model codes (mapped from model types by state_cext._model_code) */
 #define MODEL_MACRO 0
 #define MODEL_ONE_PORT 1
 #define MODEL_UNI_PORT 2
 #define MODEL_NO_OVERLAP 3
+#define MODEL_ROUTED 4
 
 /* one resolved parent row: (finish, parent_ix, edge_ix, parent_proc) */
 typedef struct {
@@ -388,9 +391,12 @@ typedef struct {
     Py_ssize_t pos;
 } UndoRec;
 
+/* one transfer hop: edge e from q to r, [t, t + dur), hop index */
 typedef struct {
     Py_ssize_t e;
     Py_ssize_t q;
+    Py_ssize_t r;
+    Py_ssize_t hop;
     double t;
     double dur;
 } EvRec;
@@ -400,9 +406,15 @@ typedef struct {
     StaticsObject *st;
     int model;
     Py_ssize_t num_rows;
-    Py_ssize_t send0;      /* one-port / no-overlap */
+    Py_ssize_t send0;      /* one-port / no-overlap / routed */
     Py_ssize_t recv0;
     Py_ssize_t port0;      /* uni-port */
+    /* routed: the route q -> r is route_nodes[route_ptr[q*p + r] ..
+     * route_ptr[q*p + r + 1]); both arrays live in the immutable bytes
+     * object ``routes``, shared by copies */
+    PyObject *routes;
+    const Py_ssize_t *route_ptr;
+    const Py_ssize_t *route_nodes;
     Row *rows;
     TRow *tent;
     double *last_e;        /* per-row frontier */
@@ -481,6 +493,7 @@ Engine_dealloc(EngineObject *self)
     PyMem_Free(self->par);
     PyMem_Free(self->ev);
     PyMem_Free(self->touched);
+    Py_XDECREF(self->routes);
     Py_XDECREF(self->st);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
@@ -497,6 +510,7 @@ engine_alloc(EngineObject *self, StaticsObject *st, int model)
         break;
     case MODEL_ONE_PORT:
     case MODEL_NO_OVERLAP:
+    case MODEL_ROUTED:
         self->send0 = nrows; nrows += p;
         self->recv0 = nrows; nrows += p;
         break;
@@ -545,19 +559,75 @@ engine_alloc(EngineObject *self, StaticsObject *st, int model)
     return 0;
 }
 
+/* The routed model's route table as one bytes object holding
+ * route_ptr[p*p + 1] then route_nodes[]; every route q -> r must run
+ * from q to r over valid processors. */
+static PyObject *
+pack_routes(Py_ssize_t p, PyObject *ptr_o, PyObject *nodes_o)
+{
+    Py_ssize_t cells = p * p + 1;
+    Py_ssize_t nn = PySequence_Size(nodes_o);
+    if (nn < 0)
+        return NULL;
+    PyObject *buf = PyBytes_FromStringAndSize(
+        NULL, (cells + nn) * (Py_ssize_t)sizeof(Py_ssize_t));
+    if (buf == NULL)
+        return NULL;
+    Py_ssize_t *ptr = (Py_ssize_t *)PyBytes_AS_STRING(buf);
+    Py_ssize_t *nodes = ptr + cells;
+    if (fill_ssizes(ptr_o, ptr, cells, "route_ptr") < 0 ||
+        fill_ssizes(nodes_o, nodes, nn, "route_nodes") < 0) {
+        Py_DECREF(buf);
+        return NULL;
+    }
+    int ok = ptr[0] == 0 && ptr[cells - 1] == nn;
+    for (Py_ssize_t k = 0; ok && k < cells - 1; k++) {
+        Py_ssize_t lo = ptr[k], hi = ptr[k + 1];
+        ok = lo < hi && hi <= nn && nodes[lo] == k / p && nodes[hi - 1] == k % p;
+        for (Py_ssize_t i = lo; ok && i < hi; i++)
+            ok = nodes[i] >= 0 && nodes[i] < p;
+    }
+    if (!ok) {
+        Py_DECREF(buf);
+        PyErr_SetString(PyExc_ValueError, "malformed route table");
+        return NULL;
+    }
+    return buf;
+}
+
+/* Engine(statics, model[, route_ptr, route_nodes]): the route table is
+ * required for MODEL_ROUTED and refused otherwise. */
 static PyObject *
 Engine_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    PyObject *st_o;
+    PyObject *st_o, *ptr_o = Py_None, *nodes_o = Py_None;
     int model;
-    if (!PyArg_ParseTuple(args, "O!i:Engine", &Statics_Type, &st_o, &model))
+    if (!PyArg_ParseTuple(args, "O!i|OO:Engine", &Statics_Type, &st_o, &model,
+                          &ptr_o, &nodes_o))
         return NULL;
+    int routed = model == MODEL_ROUTED;
+    if (routed != (ptr_o != Py_None) || routed != (nodes_o != Py_None)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "a route table is required for, and only for, the "
+                        "routed model");
+        return NULL;
+    }
     EngineObject *self = (EngineObject *)type->tp_alloc(type, 0);
     if (self == NULL)
         return NULL;
     if (engine_alloc(self, (StaticsObject *)st_o, model) < 0) {
         Py_DECREF(self);
         return NULL;
+    }
+    if (routed) {
+        Py_ssize_t p = self->st->p;
+        self->routes = pack_routes(p, ptr_o, nodes_o);
+        if (self->routes == NULL) {
+            Py_DECREF(self);
+            return NULL;
+        }
+        self->route_ptr = (const Py_ssize_t *)PyBytes_AS_STRING(self->routes);
+        self->route_nodes = self->route_ptr + p * p + 1;
     }
     return (PyObject *)self;
 }
@@ -635,6 +705,28 @@ book_tent_c(EngineObject *eg, Py_ssize_t r, double start, double end)
     }
     Py_ssize_t pos = bisect_right_d(tv->s, tv->len, start);
     return trow_insert(tv, pos, start, end);
+}
+
+/* append one transfer hop to the commit-ordered event log */
+static int
+ev_append(EngineObject *eg, Py_ssize_t e, Py_ssize_t q, Py_ssize_t r,
+          double t, double dur, Py_ssize_t hop)
+{
+    if (eg->ev_len >= eg->ev_cap) {
+        Py_ssize_t nc = eg->ev_cap ? eg->ev_cap * 2 : 16;
+        EvRec *ne = PyMem_Realloc(eg->ev, (size_t)nc * sizeof(EvRec));
+        if (ne == NULL) { PyErr_NoMemory(); return -1; }
+        eg->ev = ne;
+        eg->ev_cap = nc;
+    }
+    eg->ev[eg->ev_len].e = e;
+    eg->ev[eg->ev_len].q = q;
+    eg->ev[eg->ev_len].r = r;
+    eg->ev[eg->ev_len].hop = hop;
+    eg->ev[eg->ev_len].t = t;
+    eg->ev[eg->ev_len].dur = dur;
+    eg->ev_len++;
+    return 0;
 }
 
 /* FlatBuilder.next_fit_layered: committed + live tentative layer */
@@ -1031,6 +1123,63 @@ oneport_trial_est(EngineObject *eg, const PRow *par, Py_ssize_t np_,
     return est;
 }
 
+/* RoutedFlatBooker._ship: edge e's hops along the route q -> r, leaving
+ * at t; each hop takes the joint send/recv window (both layers) at or
+ * after the previous hop's arrival.  commit = 0 books tentatively;
+ * commit = 1 books the committed rows and logs one event per hop.
+ * Returns the arrival time (*err set on failure). */
+static double
+routed_ship(EngineObject *eg, Py_ssize_t e, Py_ssize_t q, Py_ssize_t r,
+            double t, int commit, int *err)
+{
+    StaticsObject *st = eg->st;
+    Py_ssize_t p = st->p;
+    Py_ssize_t lo = eg->route_ptr[q * p + r], hi = eg->route_ptr[q * p + r + 1];
+    const Py_ssize_t *route = eg->route_nodes + lo;
+    double data = st->edata[e];
+    for (Py_ssize_t hop = 0; hop < hi - lo - 1; hop++) {
+        Py_ssize_t a = route[hop], c = route[hop + 1];
+        double dur = data * st->links[a * p + c];
+        Py_ssize_t rows[2] = {eg->send0 + a, eg->recv0 + c};
+        double start = joint_next_fit_c(eg, rows, 2, t, dur);
+        t = start + dur;
+        int failed = commit
+            ? (book_c(eg, rows[0], start, t) < 0 ||
+               book_c(eg, rows[1], start, t) < 0 ||
+               ev_append(eg, e, a, c, start, dur, hop) < 0)
+            : (book_tent_c(eg, rows[0], start, t) < 0 ||
+               book_tent_c(eg, rows[1], start, t) < 0);
+        if (failed) {
+            *err = 1;
+            return 0.0;
+        }
+    }
+    return t;
+}
+
+/* RoutedFlatBooker.trial_est (commit = 0, with the cutoff abort) and
+ * commit_est (commit = 1, cutoff = inf) */
+static double
+routed_est(EngineObject *eg, const PRow *par, Py_ssize_t np_, Py_ssize_t proc,
+           double cutoff, double duration, int commit, int *err)
+{
+    double est = 0.0;
+    for (Py_ssize_t j = 0; j < np_; j++) {
+        double arr = par[j].fin;
+        if (par[j].pp != proc) {
+            arr = routed_ship(eg, par[j].e, par[j].pp, proc, arr, commit, err);
+            if (*err)
+                return 0.0;
+        }
+        if (arr > est) {
+            est = arr;
+            if (est + duration > cutoff)
+                return est;  /* partial: candidate provably loses */
+        }
+    }
+    return est;
+}
+
 static double
 trial_est_dispatch(EngineObject *eg, const PRow *par, Py_ssize_t np_,
                    Py_ssize_t proc, double cutoff, double duration, int *err)
@@ -1038,6 +1187,8 @@ trial_est_dispatch(EngineObject *eg, const PRow *par, Py_ssize_t np_,
     switch (eg->model) {
     case MODEL_ONE_PORT:
         return oneport_trial_est(eg, par, np_, proc, cutoff, duration, err);
+    case MODEL_ROUTED:
+        return routed_est(eg, par, np_, proc, cutoff, duration, 0, err);
     case MODEL_MACRO:
         return macro_trial_est(eg, par, np_, proc, err);
     default:
@@ -1048,24 +1199,6 @@ trial_est_dispatch(EngineObject *eg, const PRow *par, Py_ssize_t np_,
 /* ------------------------------------------------------------------ */
 /* model bookers: commit_est                                          */
 /* ------------------------------------------------------------------ */
-
-static int
-ev_append(EngineObject *eg, Py_ssize_t e, Py_ssize_t q, double t, double dur)
-{
-    if (eg->ev_len >= eg->ev_cap) {
-        Py_ssize_t nc = eg->ev_cap ? eg->ev_cap * 2 : 16;
-        EvRec *ne = PyMem_Realloc(eg->ev, (size_t)nc * sizeof(EvRec));
-        if (ne == NULL) { PyErr_NoMemory(); return -1; }
-        eg->ev = ne;
-        eg->ev_cap = nc;
-    }
-    eg->ev[eg->ev_len].e = e;
-    eg->ev[eg->ev_len].q = q;
-    eg->ev[eg->ev_len].t = t;
-    eg->ev[eg->ev_len].dur = dur;
-    eg->ev_len++;
-    return 0;
-}
 
 static double
 macro_commit_est(EngineObject *eg, const PRow *par, Py_ssize_t np_,
@@ -1087,7 +1220,8 @@ macro_commit_est(EngineObject *eg, const PRow *par, Py_ssize_t np_,
                 return 0.0;
             }
             double dur = st->edata[par[j].e] * cost;
-            if (ev_append(eg, par[j].e, par[j].pp, par[j].fin, dur) < 0) {
+            if (ev_append(eg, par[j].e, par[j].pp, proc, par[j].fin, dur,
+                          0) < 0) {
                 *err = 1;
                 return 0.0;
             }
@@ -1121,7 +1255,8 @@ joint_commit_est(EngineObject *eg, const PRow *par, Py_ssize_t np_,
             }
             double dur = st->edata[par[j].e] * cost;
             if (dur == 0.0) {
-                if (ev_append(eg, par[j].e, pp, par[j].fin, 0.0) < 0) {
+                if (ev_append(eg, par[j].e, pp, proc, par[j].fin, 0.0,
+                              0) < 0) {
                     *err = 1;
                     return 0.0;
                 }
@@ -1138,7 +1273,7 @@ joint_commit_est(EngineObject *eg, const PRow *par, Py_ssize_t np_,
                         return 0.0;
                     }
                 }
-                if (ev_append(eg, par[j].e, pp, start, dur) < 0) {
+                if (ev_append(eg, par[j].e, pp, proc, start, dur, 0) < 0) {
                     *err = 1;
                     return 0.0;
                 }
@@ -1179,7 +1314,7 @@ oneport_commit_est(EngineObject *eg, const PRow *par, Py_ssize_t np_,
         }
         double dur = st->edata[e] * cost;
         if (dur == 0.0) {
-            if (ev_append(eg, e, pproc, pfinish, 0.0) < 0) {
+            if (ev_append(eg, e, pproc, proc, pfinish, 0.0, 0) < 0) {
                 *err = 1;
                 return 0.0;
             }
@@ -1237,7 +1372,7 @@ oneport_commit_est(EngineObject *eg, const PRow *par, Py_ssize_t np_,
             *err = 1;
             return 0.0;
         }
-        if (ev_append(eg, e, pproc, t, dur) < 0) {
+        if (ev_append(eg, e, pproc, proc, t, dur, 0) < 0) {
             *err = 1;
             return 0.0;
         }
@@ -1252,6 +1387,8 @@ commit_est_dispatch(EngineObject *eg, const PRow *par, Py_ssize_t np_,
                     Py_ssize_t proc, int *err)
 {
     switch (eg->model) {
+    case MODEL_ROUTED:
+        return routed_est(eg, par, np_, proc, Py_HUGE_VAL, 0.0, 1, err);
     case MODEL_ONE_PORT:
         return oneport_commit_est(eg, par, np_, proc, err);
     case MODEL_MACRO:
@@ -1932,11 +2069,11 @@ Engine_materialize(EngineObject *eg, PyObject *args)
         items[1] = PyList_GET_ITEM(tasks, dst);
         Py_INCREF(items[1]);
         items[2] = PyLong_FromSsize_t(ev->q);
-        items[3] = PyLong_FromSsize_t(eg->proc_a[dst]);
+        items[3] = PyLong_FromSsize_t(ev->r);
         items[4] = PyFloat_FromDouble(ev->t);
         items[5] = PyFloat_FromDouble(ev->t + ev->dur);
         items[6] = PyFloat_FromDouble(st->edata[ev->e]);
-        items[7] = PyLong_FromLong(0);
+        items[7] = PyLong_FromSsize_t(ev->hop);
         PyObject *rec = make_record(CommEventType, items, 8);
         if (rec == NULL)
             return NULL;
@@ -2040,6 +2177,10 @@ Engine_copy(EngineObject *eg, PyObject *Py_UNUSED(ignored))
         Py_DECREF(dup);
         return NULL;
     }
+    Py_XINCREF(eg->routes);
+    dup->routes = eg->routes;
+    dup->route_ptr = eg->route_ptr;
+    dup->route_nodes = eg->route_nodes;
     for (Py_ssize_t r = 0; r < eg->num_rows; r++) {
         Row *src = &eg->rows[r];
         Row *dst = &dup->rows[r];
@@ -2405,7 +2546,8 @@ PyInit__cext(void)
         PyModule_AddIntConstant(mod, "MODEL_ONE_PORT", MODEL_ONE_PORT) < 0 ||
         PyModule_AddIntConstant(mod, "MODEL_UNI_PORT", MODEL_UNI_PORT) < 0 ||
         PyModule_AddIntConstant(mod, "MODEL_NO_OVERLAP",
-                                MODEL_NO_OVERLAP) < 0) {
+                                MODEL_NO_OVERLAP) < 0 ||
+        PyModule_AddIntConstant(mod, "MODEL_ROUTED", MODEL_ROUTED) < 0) {
         Py_DECREF(mod);
         return NULL;
     }

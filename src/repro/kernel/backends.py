@@ -38,9 +38,8 @@ _DEFAULT = "python"
 class KernelBackend:
     """One implementation of the kernel's hot primitives.
 
-    ``state_class()`` returns the ``SchedulerState`` subclass that
-    flat-capable models are routed through (``None`` means the
-    pure-Python base class), and ``propagate(tk, ...)`` runs one
+    ``state_class(model)`` returns the ``SchedulerState`` subclass that
+    runs ``model`` (``None`` means the pure-Python base class), and ``propagate(tk, ...)`` runs one
     earliest-start propagation over a :class:`~repro.kernel.timed.TimedKernel`.
     Classes are resolved lazily so registering a backend never imports
     the heuristics layer at module-load time.
@@ -48,7 +47,7 @@ class KernelBackend:
 
     name = ""
 
-    def state_class(self):
+    def state_class(self, model):
         return None
 
     def propagate(self, tk, dur=None, out_start=None, out_finish=None) -> float:

@@ -13,16 +13,14 @@ receive port — is one **row**: a pair of parallel sorted lists
 ``[s, e)``.  Rows ``0 .. p-1`` are the compute rows; communication
 models allocate their port rows behind them (:meth:`new_rows`), so the
 whole resource state of a run is two ragged float tables indexed by
-small ints — no ``Timeline`` objects, no dicts.
+small ints — no per-resource objects, no dicts.
 
 Trials by generation stamp
 --------------------------
 Evaluating a candidate placement books its incoming messages
-*tentatively* (paper Section 4.3).  The object implementation allocates
-a fresh trial overlay per (task, processor) probe; here a trial is a
-**generation**: each row has a tentative layer ``tent_s[r]`` /
-``tent_e[r]`` plus a stamp ``tent_gen[r]``, and the builder has a
-global counter :attr:`gen`.  A row's tentative layer is live only while
+*tentatively* (paper Section 4.3).  A trial is a **generation**: each
+row has a tentative layer ``tent_s[r]`` / ``tent_e[r]`` plus a stamp
+``tent_gen[r]``, and the builder has a global counter :attr:`gen`.  A row's tentative layer is live only while
 ``tent_gen[r] == gen``; bumping :attr:`gen` (:meth:`begin_trial`)
 invalidates every tentative interval at once.  Rejecting a candidate is
 therefore O(1) and allocation-free — the next trial lazily truncates
@@ -43,13 +41,12 @@ mark active the journal is off and commits pay a single ``None`` check.
 
 Gap search
 ----------
-:func:`row_next_fit` mirrors ``Timeline.next_fit`` (earliest ``t >=
-ready`` with ``[t, t + duration)`` free, insertion scheduling) and
-:func:`joint_next_fit` mirrors ``earliest_joint_fit`` over both layers
-of several rows — the one-port primitive.  Both return existing
-interval endpoints (or ``ready``) unchanged, so the builder computes
-bit-identical times to the object path: same comparisons over the same
-operands, no new arithmetic.
+:func:`row_next_fit` finds the earliest ``t >= ready`` with ``[t, t +
+duration)`` free (insertion scheduling) and :func:`joint_next_fit` the
+earliest window free on both layers of several rows at once — the
+one-port primitive.  Both return existing interval endpoints (or
+``ready``) unchanged, so times are exact: no new arithmetic, and the
+compiled engine repeats the same comparisons over the same operands.
 """
 
 from __future__ import annotations
@@ -69,8 +66,8 @@ def row_next_fit(cs: list, ce: list, ready: float, duration: float) -> float:
     """Earliest ``t >= ready`` with ``[t, t + duration)`` free in one layer.
 
     ``cs`` / ``ce`` are the sorted interval starts/ends of the layer.
-    Mirrors ``Timeline.next_fit`` exactly, including the zero-duration
-    fast path (zero-length windows conflict with nothing).
+    Zero-length windows conflict with nothing: ``duration == 0``
+    returns ``ready``.
     """
     if duration == 0.0:
         return ready
@@ -97,8 +94,7 @@ def layered_next_fit(
 ) -> float:
     """Earliest window free in a row's committed *and* tentative layer.
 
-    Alternates the two layers to a fixed point, like
-    ``TimelineOverlay.next_fit``.  Pass ``_EMPTY`` for ``ts``/``te``
+    Alternates the two layers to a fixed point.  Pass ``_EMPTY`` for ``ts``/``te``
     when the row has no live tentative intervals.
     """
     if duration == 0.0:
@@ -232,8 +228,8 @@ class FlatBuilder:
     ) -> float:
         """Earliest window free (both layers) on *all* ``rows`` at once.
 
-        Fixed-point alternation like ``earliest_joint_fit``: each row's
-        search only moves ``t`` forward, so the least common feasible
+        Fixed-point alternation: each row's search only moves ``t``
+        forward, so the least common feasible
         instant is reached regardless of row order.
         """
         t = ready
@@ -253,8 +249,7 @@ class FlatBuilder:
     def book(self, r: int, start: float, end: float) -> None:
         """Commit ``[start, end)`` on row ``r``; raises on real overlap.
 
-        Zero-length reservations are not stored (mirroring
-        ``Timeline.reserve``).  The overlap guard only pays the
+        Zero-length reservations are not stored.  The overlap guard only pays the
         tolerance computation on a suspected conflict.
         """
         if end == start:

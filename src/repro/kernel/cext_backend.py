@@ -2,7 +2,7 @@
 
 :mod:`repro.kernel._cext` is a hand-written CPython extension holding
 the hot sequential booking loop — the FlatBuilder primitives, the flat
-bookers of the four flat models, the all-processor candidate sweep and
+bookers of the five flat models, the all-processor candidate sweep and
 the list-scheduling loop — as one C engine over typed arrays (see ``_cextmodule.c``; its header
 states the bit-identity contract with the pure-Python reference).
 
@@ -36,8 +36,7 @@ else:
     _cext._set_exceptions(SchedulingError, TimelineError, PlatformError)
     _cext._set_record_types(TaskPlacement, CommEvent)
 
-#: One fallback warning per process (mirrors the object-path warn-once
-#: in :mod:`repro.heuristics.base`); tests reset it directly.
+#: One fallback warning per process; tests reset it directly.
 _WARNED = False
 
 _LOG = _get_logger("kernel")
@@ -109,10 +108,12 @@ class CextBackend(KernelBackend):
     runs the pure-Python ``propagate_kahn``.
     """
 
-    def state_class(self):
+    def state_class(self, model):
         if _cext is None:
             _warn_fallback()
             return None
-        from ..heuristics.state_cext import CextSchedulerState
+        from ..heuristics.state_cext import CextSchedulerState, _model_code
 
+        if _model_code(model) is None:
+            return None  # no C booker (e.g. a user subclass): python state
         return CextSchedulerState

@@ -6,37 +6,22 @@ messages flow simultaneously), the one-port model serializes messages on
 per-processor send/receive ports, and the routed model additionally
 forwards messages hop by hop over a sparse topology.
 
-Heuristics never manipulate ports directly.  Two protocols exist:
-
-**Flat bookers (the construction hot path).**  A model that sets
-``supports_flat`` provides :meth:`CommunicationModel.flat_booker`: a
-stateless-per-candidate booker bound to rows of a
+Heuristics never manipulate ports directly.  A model provides a
+**flat booker** (:meth:`CommunicationModel.flat_booker`): a
+stateless-per-candidate :class:`FlatBooker` bound to rows of a
 :class:`~repro.kernel.builder.FlatBuilder`.  ``trial_est`` books a
 candidate's incoming messages tentatively (generation-stamped, O(1) to
 reject) and ``commit_est`` re-derives and commits them; both take the
 task's parents as interned ``(parent_finish, parent_ix, edge_ix,
 parent_proc)`` rows.  :class:`~repro.heuristics.base.SchedulerState`
-routes every registered heuristic through this path.
-
-**Object trials (the reference path).**  The original per-candidate
-mechanism, retained as the cross-check reference and for models without
-a flat booker (multi-hop routing):
-
-1. ``state = model.new_state()`` — fresh resource state for one run;
-2. ``trial = state.trial()`` — tentative view for evaluating *one*
-   candidate placement;
-3. ``trial.edge_arrival(...)`` per incoming edge — books tentative
-   resources, returns when the data reaches the candidate processor;
-4. either drop the trial (candidate rejected) or
-   ``trial.commit(schedule)`` — replay the tentative bookings onto the
-   state and append the corresponding :class:`~repro.core.schedule.CommEvent`
-   records to the schedule.
+routes every registered heuristic through this path, and the compiled
+engine (:mod:`repro.kernel._cext`) mirrors each registered booker.
 
 This mirrors the paper's Section 4.3: "since we have access to current
 communication schedules for all processors, we can assign the new
-communications as early as possible, in a greedy fashion" — the *trial*
-is how a candidate's communications are placed without disturbing the
-committed schedules of the other candidates.
+communications as early as possible, in a greedy fashion" — the
+tentative booking is how a candidate's communications are placed
+without disturbing the committed schedules of the other candidates.
 
 The registry
 ------------
@@ -48,53 +33,11 @@ heuristics, the CLI, the campaign engine, and the online policies.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Hashable
 
 from ..core.exceptions import ConfigurationError
 from ..core.platform import Platform
-from ..core.schedule import Schedule
-
-TaskId = Hashable
 
 _INF = float("inf")
-
-
-class CommTrial(ABC):
-    """Tentative communication bookings for one candidate placement."""
-
-    @abstractmethod
-    def edge_arrival(
-        self,
-        src_task: TaskId,
-        dst_task: TaskId,
-        src_proc: int,
-        dst_proc: int,
-        ready: float,
-        data: float,
-    ) -> float:
-        """Book the transfer of ``data`` items for edge ``src->dst``.
-
-        ``ready`` is the earliest the message may leave (the source
-        task's finish time).  Returns the arrival time at ``dst_proc``
-        (``ready`` itself when both tasks share a processor).  The
-        booking is tentative until :meth:`commit`.
-        """
-
-    @abstractmethod
-    def commit(self, schedule: Schedule) -> None:
-        """Make every tentative booking permanent and record its events."""
-
-
-class CommState(ABC):
-    """Committed communication-resource state for one scheduling run."""
-
-    @abstractmethod
-    def trial(self) -> CommTrial:
-        """A fresh tentative view over this state."""
-
-    def copy(self) -> "CommState":
-        """Deep copy (used by chunk-rescheduling heuristic variants)."""
-        raise NotImplementedError
 
 
 class FlatBooker(ABC):
@@ -130,9 +73,10 @@ class FlatBooker(ABC):
     def commit_est(self, parents, proc: int, out: list) -> float:
         """Commit the same greedy bookings against the committed rows.
 
-        Appends one ``(edge_ix, src_proc, start, duration)`` record per
-        remote parent to ``out`` (in booking order) for the caller to
-        turn into schedule events.  Valid only when the committed rows
+        Appends one ``(edge_ix, src_proc, dst_proc, start, duration,
+        hop)`` record per transfer to ``out`` (in booking order) for the
+        caller to turn into schedule events; one-hop models record a
+        single hop 0 per remote parent.  Valid only when the committed rows
         are unchanged since the candidate was evaluated — the invariant
         every list heuristic satisfies.
         """
@@ -143,27 +87,19 @@ class FlatBooker(ABC):
 
 
 class CommunicationModel(ABC):
-    """Factory for per-run communication states; carries the model name."""
+    """Factory for per-run flat bookers; carries the model name."""
 
     #: Model identifier, matching :mod:`repro.core.validation` constants.
     name: str = ""
     #: Registry spec name (set by :func:`register_model`).
     registry_name: str = ""
-    #: Whether :meth:`flat_booker` is available (flat construction path).
-    supports_flat: bool = False
 
     def __init__(self, platform: Platform) -> None:
         self.platform = platform
 
     @abstractmethod
-    def new_state(self) -> CommState:
-        """Fresh, empty communication state for a scheduling run."""
-
     def flat_booker(self, builder, statics) -> FlatBooker:
-        """A :class:`FlatBooker` over ``builder`` rows (flat-path models)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} has no flat booker; use the object path"
-        )
+        """A :class:`FlatBooker` over ``builder`` rows for one run."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(p={self.platform.num_processors})"

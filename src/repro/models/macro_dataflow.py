@@ -12,30 +12,18 @@ counts and a Gantt view remain available, and so that a macro-dataflow
 schedule can be *checked* against the one-port rules — which it will
 generally violate, as the paper's Figure 1 example shows.
 
-The flat booker is pure arithmetic (no resource rows); the trial class
-is the retained object-path reference.
+The flat booker is pure arithmetic (no resource rows).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable
 
 from ..core.exceptions import PlatformError
-from ..core.platform import Platform
-from ..core.schedule import Schedule
 from ..core.validation import MACRO_DATAFLOW
-from .base import (
-    CommState,
-    CommTrial,
-    CommunicationModel,
-    FlatBooker,
-    register_model,
-)
+from .base import CommunicationModel, FlatBooker, register_model
 
 _INF = float("inf")
-
-TaskId = Hashable
 
 
 class MacroDataflowFlatBooker(FlatBooker):
@@ -77,69 +65,18 @@ class MacroDataflowFlatBooker(FlatBooker):
                 arr = pfinish
             else:
                 dur = edata[e] * self._cost(pproc, proc)
-                out.append((e, pproc, pfinish, dur))
+                out.append((e, pproc, proc, pfinish, dur, 0))
                 arr = pfinish + dur
             if arr > est:
                 est = arr
         return est
 
 
-class MacroDataflowTrial(CommTrial):
-    """Trial bookings under macro-dataflow: pure arithmetic, no resources."""
-
-    __slots__ = ("_platform", "_pending")
-
-    def __init__(self, platform: Platform) -> None:
-        self._platform = platform
-        self._pending: list[tuple] = []
-
-    def edge_arrival(
-        self,
-        src_task: TaskId,
-        dst_task: TaskId,
-        src_proc: int,
-        dst_proc: int,
-        ready: float,
-        data: float,
-    ) -> float:
-        if src_proc == dst_proc:
-            return ready
-        duration = self._platform.comm_time(data, src_proc, dst_proc)
-        self._pending.append(
-            (src_task, dst_task, src_proc, dst_proc, ready, duration, data)
-        )
-        return ready + duration
-
-    def commit(self, schedule: Schedule) -> None:
-        for src_task, dst_task, q, r, start, duration, data in self._pending:
-            schedule.record_comm(src_task, dst_task, q, r, start, duration, data)
-        self._pending.clear()
-
-
-class MacroDataflowState(CommState):
-    """No shared communication state: every trial is independent."""
-
-    __slots__ = ("_platform",)
-
-    def __init__(self, platform: Platform) -> None:
-        self._platform = platform
-
-    def trial(self) -> MacroDataflowTrial:
-        return MacroDataflowTrial(self._platform)
-
-    def copy(self) -> "MacroDataflowState":
-        return MacroDataflowState(self._platform)
-
-
 @register_model("macro-dataflow")
 class MacroDataflowModel(CommunicationModel):
-    """Factory for macro-dataflow communication states."""
+    """The contention-free macro-dataflow model."""
 
     name = MACRO_DATAFLOW
-    supports_flat = True
-
-    def new_state(self) -> MacroDataflowState:
-        return MacroDataflowState(self.platform)
 
     def flat_booker(self, builder, statics) -> MacroDataflowFlatBooker:
         return MacroDataflowFlatBooker(builder, statics)

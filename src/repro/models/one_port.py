@@ -12,36 +12,22 @@ A transfer ``q -> r`` of ``data`` items books the window
 after the source task's completion at which that window is free on both
 ports — the greedy "as early as possible" rule of Section 4.3.
 
-Two implementations of that rule live here: :class:`OnePortFlatBooker`
-books flat :class:`~repro.kernel.builder.FlatBuilder` rows (the
-construction hot path) and :class:`OnePortTrial` books
-:class:`~repro.core.ports.PortSet` overlays (the retained object
-reference).  Both compute bit-identical windows.
+:class:`OnePortFlatBooker` implements that rule over flat
+:class:`~repro.kernel.builder.FlatBuilder` rows; the compiled engine
+mirrors it operation for operation.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Hashable
 
 from ..core.exceptions import PlatformError
-from ..core.platform import Platform
-from ..core.ports import PortSet, PortSetOverlay
-from ..core.schedule import Schedule
-from ..obs import current as _obs_current
 from ..core.validation import ONE_PORT
-from .base import (
-    CommState,
-    CommTrial,
-    CommunicationModel,
-    FlatBooker,
-    register_model,
-)
+from ..obs import current as _obs_current
+from .base import CommunicationModel, FlatBooker, register_model
 
 _INF = float("inf")
-
-TaskId = Hashable
 
 
 class OnePortFlatBooker(FlatBooker):
@@ -97,7 +83,7 @@ class OnePortFlatBooker(FlatBooker):
     # layer block advances ``t`` to the least feasible instant >= t for
     # that interval list; sweeping the (up to four) layers until none
     # moves reaches the unique least instant free on all of them — the
-    # same value ``earliest_joint_fit`` computes on the object path.
+    # same value ``FlatBuilder.joint_next_fit`` computes.
 
     def trial_est(
         self, parents, proc: int, cutoff: float = _INF, duration: float = 0.0
@@ -299,7 +285,7 @@ class OnePortFlatBooker(FlatBooker):
                 raise PlatformError(f"no direct link from P{pproc} to P{proc}")
             dur = edata[e] * cost
             if dur == 0.0:
-                out.append((e, pproc, pfinish, 0.0))
+                out.append((e, pproc, proc, pfinish, 0.0, 0))
                 if pfinish > est:
                     est = pfinish
                 continue
@@ -343,75 +329,17 @@ class OnePortFlatBooker(FlatBooker):
             end = t + dur
             book(rs, t, end)
             book(rr, t, end)
-            out.append((e, pproc, t, dur))
+            out.append((e, pproc, proc, t, dur, 0))
             if end > est:
                 est = end
         return est
 
 
-class OnePortTrial(CommTrial):
-    """Tentative port bookings over a committed :class:`PortSet`."""
-
-    __slots__ = ("_platform", "_overlay", "_pending")
-
-    def __init__(self, platform: Platform, ports: PortSet) -> None:
-        self._platform = platform
-        self._overlay = PortSetOverlay(ports)
-        self._pending: list[tuple] = []
-
-    def edge_arrival(
-        self,
-        src_task: TaskId,
-        dst_task: TaskId,
-        src_proc: int,
-        dst_proc: int,
-        ready: float,
-        data: float,
-    ) -> float:
-        if src_proc == dst_proc:
-            return ready
-        duration = self._platform.comm_time(data, src_proc, dst_proc)
-        start = self._overlay.earliest_transfer(src_proc, dst_proc, ready, duration)
-        self._overlay.reserve_transfer(
-            src_proc, dst_proc, start, duration, tag=(src_task, dst_task)
-        )
-        self._pending.append(
-            (src_task, dst_task, src_proc, dst_proc, start, duration, data)
-        )
-        return start + duration
-
-    def commit(self, schedule: Schedule) -> None:
-        self._overlay.commit()
-        for src_task, dst_task, q, r, start, duration, data in self._pending:
-            schedule.record_comm(src_task, dst_task, q, r, start, duration, data)
-        self._pending.clear()
-
-
-class OnePortState(CommState):
-    """Committed send/receive port timelines for one scheduling run."""
-
-    __slots__ = ("_platform", "ports")
-
-    def __init__(self, platform: Platform, ports: PortSet | None = None) -> None:
-        self._platform = platform
-        self.ports = ports if ports is not None else PortSet(platform.num_processors)
-
-    def trial(self) -> OnePortTrial:
-        return OnePortTrial(self._platform, self.ports)
-
-    def copy(self) -> "OnePortState":
-        return OnePortState(self._platform, self.ports.copy())
-
-
 @register_model("one-port")
 class OnePortModel(CommunicationModel):
-    """Factory for bi-directional one-port communication states."""
+    """The bi-directional one-port model."""
 
     name = ONE_PORT
-    supports_flat = True
-
-    def new_state(self) -> OnePortState:
-        return OnePortState(self.platform)
 
     def flat_booker(self, builder, statics) -> OnePortFlatBooker:
         return OnePortFlatBooker(builder, statics)

@@ -15,24 +15,27 @@ adjacent processors."  This module implements exactly that extension:
   each hop leaving no earlier than the previous hop's arrival.
 
 Intermediate processors relay with their ports only — relaying does not
-occupy their compute timeline (communication/computation overlap).
+occupy their compute rows (communication/computation overlap).
+
+:class:`RoutedFlatBooker` is that loop over the one-port send/recv rows
+of a :class:`~repro.kernel.builder.FlatBuilder`; the compiled engine
+mirrors it over the same route table, passed in CSR form
+(:meth:`RoutedOnePortModel.route_csr`).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from collections.abc import Hashable
 
 import networkx as nx
 
 from ..core.exceptions import PlatformError
 from ..core.platform import Platform
-from ..core.ports import PortSet, PortSetOverlay
-from ..core.schedule import Schedule
 from ..core.validation import ONE_PORT
-from .base import CommState, CommTrial, CommunicationModel, register_model
+from .base import CommunicationModel, FlatBooker, register_model
 
-TaskId = Hashable
+_INF = float("inf")
 
 
 def build_routing_table(platform: Platform) -> dict[tuple[int, int], list[int]]:
@@ -56,8 +59,6 @@ def build_routing_table(platform: Platform) -> dict[tuple[int, int], list[int]]:
         # Dijkstra with deterministic tie-breaking on (cost, hops, path).
         paths: dict[int, tuple[float, int, list[int]]] = {src: (0.0, 0, [src])}
         frontier = [(0.0, 0, [src], src)]
-        import heapq
-
         while frontier:
             cost, hops, path, node = heapq.heappop(frontier)
             if paths.get(node, (math.inf,))[0] < cost:
@@ -78,85 +79,115 @@ def build_routing_table(platform: Platform) -> dict[tuple[int, int], list[int]]:
     return table
 
 
-class RoutedOnePortTrial(CommTrial):
-    """Tentative multi-hop bookings over a committed :class:`PortSet`."""
+class RoutedFlatBooker(FlatBooker):
+    """Store-and-forward bookings: the one-port rule once per route hop.
 
-    __slots__ = ("_platform", "_routes", "_overlay", "_pending")
+    Per remote parent the message walks ``routes[(q, proc)]``: each hop
+    ``a -> b`` takes the earliest window at or after the previous hop's
+    arrival that is free on ``a``'s send row and ``b``'s receive row
+    (both layers), and books it there.  A zero-duration hop books
+    nothing and leaves the arrival time unchanged, but still records a
+    zero-length event.
+    """
 
-    def __init__(
-        self,
-        platform: Platform,
-        routes: dict[tuple[int, int], list[int]],
-        ports: PortSet,
-    ) -> None:
-        self._platform = platform
-        self._routes = routes
-        self._overlay = PortSetOverlay(ports)
-        self._pending: list[tuple] = []
+    __slots__ = ("builder", "send0", "recv0", "edata", "links", "routes")
 
-    def edge_arrival(
-        self,
-        src_task: TaskId,
-        dst_task: TaskId,
-        src_proc: int,
-        dst_proc: int,
-        ready: float,
-        data: float,
-    ) -> float:
-        if src_proc == dst_proc:
-            return ready
-        route = self._routes[(src_proc, dst_proc)]
-        t = ready
-        for hop, (a, b) in enumerate(zip(route, route[1:])):
-            duration = self._platform.comm_time(data, a, b)
-            start = self._overlay.earliest_transfer(a, b, t, duration)
-            self._overlay.reserve_transfer(a, b, start, duration, tag=(src_task, dst_task, hop))
-            self._pending.append((src_task, dst_task, a, b, start, duration, data, hop))
-            t = start + duration
+    def __init__(self, builder, statics, routes) -> None:
+        p = statics.num_procs
+        self.builder = builder
+        self.send0 = builder.new_rows(p)
+        self.recv0 = builder.new_rows(p)
+        self.edata = statics.edata
+        self.links = statics.link_rows
+        self.routes = routes
+
+    def rebind(self, builder) -> "RoutedFlatBooker":
+        dup = object.__new__(RoutedFlatBooker)
+        dup.builder = builder
+        dup.send0 = self.send0
+        dup.recv0 = self.recv0
+        dup.edata = self.edata
+        dup.links = self.links
+        dup.routes = self.routes
+        return dup
+
+    def _ship(self, e: int, q: int, r: int, t: float, book, out) -> float:
+        """Book edge ``e``'s hops from ``q`` to ``r``, leaving at ``t``;
+        returns the arrival time (records hops into ``out`` if given)."""
+        b = self.builder
+        data, links = self.edata[e], self.links
+        route = self.routes[(q, r)]
+        for hop in range(len(route) - 1):
+            a, c = route[hop], route[hop + 1]
+            dur = data * links[a][c]
+            rows = (self.send0 + a, self.recv0 + c)
+            start = b.joint_next_fit(rows, t, dur)
+            t = start + dur
+            book(rows[0], start, t)
+            book(rows[1], start, t)
+            if out is not None:
+                out.append((e, a, c, start, dur, hop))
         return t
 
-    def commit(self, schedule: Schedule) -> None:
-        self._overlay.commit()
-        for src_task, dst_task, a, b, start, duration, data, hop in self._pending:
-            schedule.record_comm(src_task, dst_task, a, b, start, duration, data, hop)
-        self._pending.clear()
+    def trial_est(
+        self, parents, proc: int, cutoff: float = _INF, duration: float = 0.0
+    ) -> float:
+        book = self.builder.book_tentative
+        est = 0.0
+        for pfinish, _pi, e, pproc in parents:
+            if pproc != proc:
+                pfinish = self._ship(e, pproc, proc, pfinish, book, None)
+            if pfinish > est:
+                est = pfinish
+                if est + duration > cutoff:
+                    return est  # partial: candidate provably loses
+        return est
+
+    def commit_est(self, parents, proc: int, out: list) -> float:
+        book = self.builder.book
+        est = 0.0
+        for pfinish, _pi, e, pproc in parents:
+            if pproc != proc:
+                pfinish = self._ship(e, pproc, proc, pfinish, book, out)
+            if pfinish > est:
+                est = pfinish
+        return est
 
 
-class RoutedOnePortState(CommState):
-    __slots__ = ("_platform", "_routes", "ports")
+class RoutedOnePortTrial:
+    """Import stub: nothing returns it; the routed model books through
+    :class:`RoutedFlatBooker`.  The benchmark tracer still imports it
+    by name."""
 
-    def __init__(
-        self,
-        platform: Platform,
-        routes: dict[tuple[int, int], list[int]],
-        ports: PortSet | None = None,
-    ) -> None:
-        self._platform = platform
-        self._routes = routes
-        self.ports = ports if ports is not None else PortSet(platform.num_processors)
-
-    def trial(self) -> RoutedOnePortTrial:
-        return RoutedOnePortTrial(self._platform, self._routes, self.ports)
-
-    def copy(self) -> "RoutedOnePortState":
-        return RoutedOnePortState(self._platform, self._routes, self.ports.copy())
+    __slots__ = ()
 
 
 @register_model("routed")
 class RoutedOnePortModel(CommunicationModel):
-    """One-port model over an arbitrary (connected) topology.
-
-    Multi-hop chains have no flat booker (``supports_flat`` stays
-    False), so heuristics run this model through the retained object
-    path — mirroring how :func:`repro.simulate.replay` falls back for
-    multi-hop decision sets.
-    """
+    """One-port model over an arbitrary (connected) topology."""
 
     name = ONE_PORT
 
     def __init__(self, platform: Platform) -> None:
         super().__init__(platform)
         self.routes = build_routing_table(platform)
+        self._csr: tuple[list[int], list[int]] | None = None
 
-    def new_state(self) -> RoutedOnePortState:
-        return RoutedOnePortState(self.platform, self.routes)
+    def flat_booker(self, builder, statics) -> RoutedFlatBooker:
+        return RoutedFlatBooker(builder, statics, self.routes)
+
+    def route_csr(self) -> tuple[list[int], list[int]]:
+        """The route table as CSR arrays for the compiled engine.
+
+        ``nodes[ptr[q * p + r]:ptr[q * p + r + 1]]`` is the route
+        ``[q, ..., r]``.
+        """
+        if self._csr is None:
+            p = self.platform.num_processors
+            ptr, nodes = [0], []
+            for q in range(p):
+                for r in range(p):
+                    nodes.extend(self.routes[(q, r)])
+                    ptr.append(len(nodes))
+            self._csr = (ptr, nodes)
+        return self._csr

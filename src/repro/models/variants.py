@@ -14,7 +14,7 @@ Implemented here so the claim can be *measured* (see
   sender's port and the receiver's port.
 * :class:`NoOverlapOnePortModel` — bi-directional ports, but no
   communication/computation overlap: a transfer also occupies both
-  endpoint processors' *compute* timelines (the CPU drives the
+  endpoint processors' *compute* rows (the CPU drives the
   transfer), so computation stalls during sends and receives.
 
 Both strictly restrict the bi-directional one-port model, so makespans
@@ -29,24 +29,14 @@ one-port rule still holds), plus extra structure checked by
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable, Sequence
 
 from ..core.exceptions import PlatformError, ValidationError
 from ..core.schedule import Schedule
-from ..core.timeline import Timeline, TimelineOverlay, earliest_joint_fit
 from ..core.tolerance import time_tol
-from ..core.validation import ONE_PORT, validate_schedule
-from .base import (
-    CommState,
-    CommTrial,
-    CommunicationModel,
-    FlatBooker,
-    register_model,
-)
+from ..core.validation import ONE_PORT, first_overlap, validate_schedule
+from .base import CommunicationModel, FlatBooker, register_model
 
 _INF = float("inf")
-
-TaskId = Hashable
 
 
 class _JointRowsFlatBooker(FlatBooker):
@@ -122,7 +112,7 @@ class _JointRowsFlatBooker(FlatBooker):
             else:
                 dur = edata[e] * self._cost(pproc, proc)
                 if dur == 0.0:
-                    out.append((e, pproc, pfinish, 0.0))
+                    out.append((e, pproc, proc, pfinish, 0.0, 0))
                     arr = pfinish
                 else:
                     rows = self._rows(pproc, proc)
@@ -130,7 +120,7 @@ class _JointRowsFlatBooker(FlatBooker):
                     end = start + dur
                     for r in rows:
                         b.book(r, start, end)
-                    out.append((e, pproc, start, dur))
+                    out.append((e, pproc, proc, start, dur, 0))
                     arr = end
             if arr > est:
                 est = arr
@@ -158,7 +148,7 @@ class NoOverlapFlatBooker(_JointRowsFlatBooker):
 
     The compute rows are the builder's own rows ``0 .. p-1`` — the same
     rows task executions occupy — so a transfer excludes computation on
-    its endpoints exactly as the object path's bound compute timelines.
+    its endpoints.
     """
 
     __slots__ = ("send0", "recv0")
@@ -176,197 +166,28 @@ class NoOverlapFlatBooker(_JointRowsFlatBooker):
         return (self.send0 + q, self.recv0 + r, q, r)
 
 
-class _SinglePortSet:
-    """One shared send+receive port timeline per processor."""
-
-    __slots__ = ("port",)
-
-    def __init__(self, num_processors: int) -> None:
-        self.port = [Timeline() for _ in range(num_processors)]
-
-    def copy(self) -> "_SinglePortSet":
-        dup = _SinglePortSet(len(self.port))
-        dup.port = [t.copy() for t in self.port]
-        return dup
-
-
-class UniPortTrial(CommTrial):
-    __slots__ = ("_platform", "_ports", "_overlays", "_pending")
-
-    def __init__(self, platform, ports: _SinglePortSet) -> None:
-        self._platform = platform
-        self._ports = ports
-        self._overlays: dict[int, TimelineOverlay] = {}
-        self._pending: list[tuple] = []
-
-    def _view(self, proc: int) -> TimelineOverlay:
-        view = self._overlays.get(proc)
-        if view is None:
-            view = self._overlays[proc] = TimelineOverlay(self._ports.port[proc])
-        return view
-
-    def edge_arrival(self, src_task, dst_task, src_proc, dst_proc, ready, data):
-        if src_proc == dst_proc:
-            return ready
-        duration = self._platform.comm_time(data, src_proc, dst_proc)
-        views = [self._view(src_proc), self._view(dst_proc)]
-        start = earliest_joint_fit(views, ready, duration)
-        tag = (src_task, dst_task)
-        for view in views:
-            view.reserve(start, start + duration, tag)
-        self._pending.append((src_task, dst_task, src_proc, dst_proc, start, duration, data))
-        return start + duration
-
-    def commit(self, schedule: Schedule) -> None:
-        for view in self._overlays.values():
-            view.commit()
-        self._overlays.clear()
-        for src_task, dst_task, q, r, start, duration, data in self._pending:
-            schedule.record_comm(src_task, dst_task, q, r, start, duration, data)
-        self._pending.clear()
-
-
-class UniPortState(CommState):
-    __slots__ = ("_platform", "ports")
-
-    def __init__(self, platform, ports: _SinglePortSet | None = None) -> None:
-        self._platform = platform
-        self.ports = ports if ports is not None else _SinglePortSet(platform.num_processors)
-
-    def trial(self) -> UniPortTrial:
-        return UniPortTrial(self._platform, self.ports)
-
-    def copy(self) -> "UniPortState":
-        return UniPortState(self._platform, self.ports.copy())
-
-
 @register_model("uni-port")
 class UniPortModel(CommunicationModel):
     """Uni-directional one-port: one shared port per processor."""
 
     name = ONE_PORT  # schedules satisfy (and exceed) the one-port rules
-    supports_flat = True
-
-    def new_state(self) -> UniPortState:
-        return UniPortState(self.platform)
 
     def flat_booker(self, builder, statics) -> UniPortFlatBooker:
         return UniPortFlatBooker(builder, statics)
-
-
-class NoOverlapTrial(CommTrial):
-    """Bi-directional ports + compute stalls during transfers.
-
-    The compute timelines are the scheduler's own (bound through
-    :meth:`NoOverlapOnePortModel.bind_compute`), overlaid tentatively
-    like the ports, so a transfer excludes computation on both endpoint
-    processors for its duration.
-    """
-
-    __slots__ = ("_platform", "_state", "_overlays", "_pending")
-
-    def __init__(self, platform, state: "NoOverlapState") -> None:
-        self._platform = platform
-        self._state = state
-        self._overlays: dict[tuple[str, int], TimelineOverlay] = {}
-        self._pending: list[tuple] = []
-
-    def _view(self, kind: str, proc: int) -> TimelineOverlay:
-        key = (kind, proc)
-        view = self._overlays.get(key)
-        if view is None:
-            if kind == "send":
-                base = self._state.send[proc]
-            elif kind == "recv":
-                base = self._state.recv[proc]
-            else:
-                base = self._state.compute[proc]
-            view = self._overlays[key] = TimelineOverlay(base)
-        return view
-
-    def edge_arrival(self, src_task, dst_task, src_proc, dst_proc, ready, data):
-        if src_proc == dst_proc:
-            return ready
-        duration = self._platform.comm_time(data, src_proc, dst_proc)
-        views = [
-            self._view("send", src_proc),
-            self._view("recv", dst_proc),
-            self._view("compute", src_proc),
-            self._view("compute", dst_proc),
-        ]
-        start = earliest_joint_fit(views, ready, duration)
-        tag = (src_task, dst_task)
-        for view in views:
-            view.reserve(start, start + duration, tag)
-        self._pending.append((src_task, dst_task, src_proc, dst_proc, start, duration, data))
-        return start + duration
-
-    def commit(self, schedule: Schedule) -> None:
-        for view in self._overlays.values():
-            view.commit()
-        self._overlays.clear()
-        for src_task, dst_task, q, r, start, duration, data in self._pending:
-            schedule.record_comm(src_task, dst_task, q, r, start, duration, data)
-        self._pending.clear()
-
-
-class NoOverlapState(CommState):
-    __slots__ = ("_platform", "send", "recv", "compute")
-
-    def __init__(self, platform, compute: Sequence[Timeline]) -> None:
-        self._platform = platform
-        self.send = [Timeline() for _ in platform.processors]
-        self.recv = [Timeline() for _ in platform.processors]
-        self.compute = list(compute)
-
-    def trial(self) -> NoOverlapTrial:
-        return NoOverlapTrial(self._platform, self)
-
-    def copy(self) -> "NoOverlapState":
-        # compute timelines are owned by the scheduler state, which
-        # copies them itself on snapshot; here we share references and
-        # copy only the ports.  Chunk-rescheduling variants therefore
-        # rebuild the state from the snapshot's compute timelines.
-        dup = NoOverlapState.__new__(NoOverlapState)
-        dup._platform = self._platform
-        dup.send = [t.copy() for t in self.send]
-        dup.recv = [t.copy() for t in self.recv]
-        dup.compute = self.compute
-        return dup
 
 
 @register_model("no-overlap")
 class NoOverlapOnePortModel(CommunicationModel):
     """One-port without communication/computation overlap.
 
-    On the object path the scheduler's compute timelines must be bound
-    before trials are created;
-    :class:`~repro.heuristics.state_object.ObjectSchedulerState` does
-    this automatically when the model exposes ``wants_compute``.  The
-    flat path needs no binding — the booker occupies the builder's own
-    compute rows.
+    The booker occupies the builder's own compute rows, so no binding
+    to the scheduler state is needed.
     """
 
     name = ONE_PORT
-    wants_compute = True
-    supports_flat = True
 
     def flat_booker(self, builder, statics) -> NoOverlapFlatBooker:
         return NoOverlapFlatBooker(builder, statics)
-
-    def __init__(self, platform) -> None:
-        super().__init__(platform)
-        self._compute: Sequence[Timeline] | None = None
-
-    def bind_compute(self, compute: Sequence[Timeline]) -> None:
-        self._compute = compute
-
-    def new_state(self) -> NoOverlapState:
-        if self._compute is None:
-            raise ValidationError(
-                "NoOverlapOnePortModel needs bind_compute(...) before use"
-            )
-        return NoOverlapState(self.platform, self._compute)
 
 
 def validate_uni_port(schedule: Schedule) -> None:
@@ -377,23 +198,24 @@ def validate_uni_port(schedule: Schedule) -> None:
         by_proc.setdefault(e.src_proc, []).append(e)
         by_proc.setdefault(e.dst_proc, []).append(e)
     for proc, events in by_proc.items():
-        events.sort(key=lambda e: (e.start, e.finish))
-        for a, b in zip(events, events[1:]):
-            if a.finish > b.start + time_tol(a.finish, b.start):
-                raise ValidationError(
-                    f"uni-port violation on P{proc}: {a} overlaps {b}"
-                )
+        clash = first_overlap((e.start, e.finish, e) for e in events)
+        if clash is not None:
+            a, b = clash
+            raise ValidationError(f"uni-port violation on P{proc}: {a} overlaps {b}")
 
 
 def validate_no_overlap(schedule: Schedule) -> None:
     """One-port rules plus: no transfer overlaps computation on its
-    endpoint processors."""
+    endpoint processors (zero-length windows conflict with nothing)."""
     validate_schedule(schedule, model=ONE_PORT)
     for e in schedule.comm_events:
+        if e.finish <= e.start:
+            continue
         for proc in (e.src_proc, e.dst_proc):
             for p in schedule.tasks_on(proc):
                 if (
-                    e.start < p.finish - time_tol(e.start, p.finish)
+                    p.start < p.finish
+                    and e.start < p.finish - time_tol(e.start, p.finish)
                     and p.start < e.finish - time_tol(p.start, e.finish)
                 ):
                     raise ValidationError(

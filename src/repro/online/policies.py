@@ -90,7 +90,7 @@ class PlanningPolicy(Policy):
 
     Planning and re-planning run the heuristic through the flat builder
     ``SchedulerState`` (every registered heuristic does), so policy
-    wake-ups pay the flat construction cost, not the object path's.
+    wake-ups pay the flat construction cost.
     """
 
     def __init__(

@@ -37,20 +37,19 @@ class TestTimeTol:
         assert guard_tol(0.0) == GUARD_FACTOR * TIME_EPS
         assert guard_tol(1e9) == pytest.approx(GUARD_FACTOR * TIME_EPS * 1e9)
 
-    def test_timeline_guard_scales_but_stays_tight(self):
-        """A reservation overlapping by 1e-7 at magnitude 1 must still
+    def test_booking_guard_scales_but_stays_tight(self):
+        """A booking overlapping by 1e-7 at magnitude 1 must still
         raise (the old 1e-9-absolute guard territory), while ULP noise
         at magnitude 1e9 must not."""
-        from repro.core import Timeline
         from repro.core.exceptions import TimelineError
+        from repro.kernel.builder import FlatBuilder
 
-        tl = Timeline()
-        tl.reserve(0.0, 1.0)
+        rows = FlatBuilder(2)
+        rows.book(0, 0.0, 1.0)
         with pytest.raises(TimelineError):
-            tl.reserve(1.0 - 1e-7, 2.0)
-        big = Timeline()
-        big.reserve(0.0, 1e9)
-        big.reserve(1e9 - 1e-4, 2e9)  # within 1e-9 relative at this scale
+            rows.book(0, 1.0 - 1e-7, 2.0)
+        rows.book(1, 0.0, 1e9)
+        rows.book(1, 1e9 - 1e-4, 2e9)  # within 1e-9 relative at this scale
 
     def test_duration_tolerance_scales_with_duration_not_makespan(self):
         """A task at start ~1e9 whose recorded duration is off by 400

@@ -112,6 +112,27 @@ class TestExclusivity:
         with pytest.raises(ValidationError, match="overlap"):
             validate_schedule(s)
 
+    @staticmethod
+    def _independent(windows):
+        """Independent tasks on P0 at the given (start, finish) windows."""
+        g = TaskGraph()
+        for i, (start, finish) in enumerate(windows):
+            g.add_task(i, finish - start)
+        s = Schedule(g, Platform.homogeneous(1), model="one-port")
+        for i, (start, finish) in enumerate(windows):
+            s.place(i, 0, start, finish)
+        return s
+
+    def test_zero_length_task_inside_busy_window_accepted(self):
+        """Zero-length windows conflict with nothing, as in the gap search."""
+        validate_schedule(self._independent([(0.0, 10.0), (4.0, 4.0)]))
+
+    def test_overlap_behind_zero_length_task_still_rejected(self):
+        """[0,10), [5,5), [6,8): the zero-length task sits between the two
+        positive windows in start order and must not hide their overlap."""
+        with pytest.raises(ValidationError, match="overlap"):
+            validate_schedule(self._independent([(0.0, 10.0), (5.0, 5.0), (6.0, 8.0)]))
+
 
 class TestPrecedence:
     def test_child_starts_before_arrival(self, graph, platform):
@@ -189,6 +210,19 @@ class TestOnePortRule:
         s.place("y", 2, 3.0, 4.0)
         with pytest.raises(ValidationError, match="one-port violation"):
             validate_schedule(s)
+
+    def test_zero_length_transfer_inside_busy_port_accepted(self, platform):
+        """An empty message inside another's receive window books nothing."""
+        g = TaskGraph.from_specs(
+            [("u", 1.0), ("v", 1.0), ("w", 1.0)], [("u", "w", 4.0), ("v", "w", 0.0)]
+        )
+        s = Schedule(g, platform, model="one-port")
+        s.place("u", 0, 0.0, 1.0)
+        s.place("v", 1, 1.0, 2.0)
+        s.record_comm("u", "w", 0, 2, 1.0, 4.0, 4.0)  # P2 receives [1, 5)
+        s.record_comm("v", "w", 1, 2, 2.0, 0.0, 0.0)  # [2, 2): inside it
+        s.place("w", 2, 5.0, 6.0)
+        validate_schedule(s)
 
     def test_same_schedule_fine_under_macro(self, graph, platform):
         """The one-port-violating double receive is fine in macro-dataflow."""

@@ -7,28 +7,30 @@ heuristic x flat-capable model x testbed, the compiled backend
 starts, finishes, and communication events, exact float equality and
 the same commit order.  The same holds on degenerate inputs (1e9 time
 magnitudes, zero weights and volumes, all-equal costs) for every
-heuristic x model, and on a 200-hop chain past 1e9.
+heuristic x model, where both schedules must also validate; for the
+routed model on a ring and a line; and on a 200-hop chain past 1e9.
 
 Also here: the backend registry surface (selection precedence, unknown
 names, the ``REPRO_BACKEND`` environment channel) and the
-fallback-visibility regressions — a model without a flat booker must
-say so (one ``repro.heuristics`` log warning), a ``cext`` selection
-without the compiled extension must degrade to the pure-Python state
-with one ``repro.kernel`` warning, and ``Schedule.state_impl`` must
-record the engine that actually ran.
+engine-visibility regressions — every registered model, routed
+included, runs on the engine of the selected backend without a warning,
+a model without a C booker (a user subclass) gets the pure-Python
+state, a ``cext`` selection without the compiled extension must degrade
+to the pure-Python state with one ``repro.kernel`` warning, and
+``Schedule.state_impl`` must record the engine that actually ran.
 """
 
 import logging
 import math
 
 import pytest
+from test_golden_digests import ROUTED_PLATFORMS
 
 from repro import Platform
 from repro.core import TaskGraph, validate_schedule
 from repro.core.exceptions import ConfigurationError
 from repro.graphs import irregular_testbed, layered_testbed, lu_graph
 from repro.heuristics import available_schedulers, get_scheduler
-from repro.heuristics.base import _FALLBACK_WARNED
 from repro.kernel import backends, cext_backend
 from repro.kernel.backends import (
     available_backends,
@@ -38,7 +40,14 @@ from repro.kernel.backends import (
     use_backend,
 )
 from repro.kernel.cext_backend import cext_available
-from repro.models import RoutedOnePortModel, make_model
+from repro.models import (
+    OnePortModel,
+    RoutedOnePortModel,
+    available_models,
+    make_model,
+    validate_no_overlap,
+    validate_uni_port,
+)
 
 #: The accelerated backends under test, each compared against the
 #: pure-Python reference; cext rows skip when the extension isn't built.
@@ -128,6 +137,16 @@ ADVERSARIAL = {
     "ties": _ties,
 }
 
+#: The model-specific checker of each model's extra rules.
+VALIDATORS = {"uni-port": validate_uni_port, "no-overlap": validate_no_overlap}
+
+
+ROUTED_GRAPHS = {
+    "irregular": lambda: irregular_testbed(40, seed=3),
+    "magnitude-1e9": _magnitude_1e9,
+    "zero-costs": _zero_costs,
+}
+
 
 @pytest.mark.parametrize("backend", ACCEL_BACKENDS)
 @pytest.mark.parametrize("model_name", MODELS)
@@ -156,6 +175,28 @@ def test_adversarial_inputs_match_python(name, case, model_name, paper_platform)
     acc = run_on_backend(scheduler, graph, paper_platform, model_name, "cext")
     assert acc.state_impl == "flat-cext"
     assert_identical(ref, acc)
+    validate = VALIDATORS.get(model_name, validate_schedule)
+    validate(ref)
+    validate(acc)
+
+
+@needs_cext
+@pytest.mark.parametrize("graph_name", sorted(ROUTED_GRAPHS))
+@pytest.mark.parametrize("kind", ["ring", "line"])
+@pytest.mark.parametrize("name", SWEEP)
+def test_routed_matches_python(name, kind, graph_name):
+    """The routed differential: multi-hop bookings agree bit for bit and
+    in commit order, past 1e9 and with zero-length hops, and both
+    schedules validate (hop chains plus the one-port rules)."""
+    scheduler = get_scheduler(name, **SCHEDULER_KWARGS.get(name, {}))
+    graph = ROUTED_GRAPHS[graph_name]()
+    platform = ROUTED_PLATFORMS[kind]()
+    ref = run_on_backend(scheduler, graph, platform, "routed", "python")
+    acc = run_on_backend(scheduler, graph, platform, "routed", "cext")
+    assert (ref.state_impl, acc.state_impl) == ("flat-python", "flat-cext")
+    assert_identical(ref, acc)
+    validate_schedule(ref)
+    validate_schedule(acc)
 
 
 @needs_cext
@@ -270,10 +311,10 @@ class TestRegistry:
 
 
 # ----------------------------------------------------------------------
-# fallback visibility (regression: the routed model used to fall back
-# to the object path silently)
+# engine visibility (regression: the routed model used to fall back to
+# a third, object-level engine with a warning)
 # ----------------------------------------------------------------------
-class TestFallbackVisibility:
+class TestEngineVisibility:
     def _routed_run(self):
         inf = math.inf
         line = Platform(
@@ -287,27 +328,40 @@ class TestFallbackVisibility:
         alloc = {"u": 0, "v": 2, "w": 0}
         return get_scheduler("fixed", alloc=alloc), graph, line
 
-    @pytest.mark.parametrize("backend", ["python", "cext"])
-    def test_object_fallback_warns_once_and_is_recorded(self, backend, caplog):
-        """Backend selection is a flat-path concern: the routed model
-        runs (and says so, once) on the object path under any backend."""
+    @pytest.mark.parametrize("backend, impl", [
+        ("python", "flat-python"),
+        pytest.param("cext", "flat-cext", marks=needs_cext),
+    ])
+    def test_routed_runs_on_the_selected_engine_silently(self, backend, impl, caplog):
         scheduler, graph, line = self._routed_run()
-        _FALLBACK_WARNED.discard("routed")
         with use_backend(backend):
-            with caplog.at_level(logging.WARNING, logger="repro.heuristics"):
+            with caplog.at_level(logging.WARNING):
                 sched = scheduler.run(graph, line, RoutedOnePortModel(line))
-                again = scheduler.run(graph, line, RoutedOnePortModel(line))
-        fallback = [r for r in caplog.records if "no flat booker" in r.getMessage()]
-        assert len(fallback) == 1, "expected exactly one fallback warning"
-        assert fallback[0].levelno == logging.WARNING
-        assert fallback[0].name == "repro.heuristics"
-        assert sched.state_impl == "object"
-        assert again.state_impl == "object"
+        assert not caplog.records
+        assert sched.state_impl == impl
+        assert [e.hop for e in sched.comm_events] == [0, 1, 0, 1]
+        validate_schedule(sched)
 
-    def test_flat_models_do_not_warn(self, paper_platform, caplog):
-        with caplog.at_level(logging.WARNING, logger="repro.heuristics"):
-            get_scheduler("heft").run(lu_graph(4), paper_platform, "one-port")
-        assert not [r for r in caplog.records if "no flat booker" in r.getMessage()]
+    @needs_cext
+    def test_every_registered_model_has_a_c_booker(self, paper_platform):
+        from repro.heuristics.state_cext import _model_code
+
+        for name in available_models():
+            assert _model_code(make_model(paper_platform, name)) is not None, name
+
+    @needs_cext
+    def test_model_subclass_runs_on_python_state(self, paper_platform):
+        """Exact-type dispatch: a subclass may override a booking hook,
+        so the compiled booker of its base class must not run it."""
+
+        class CustomOnePort(OnePortModel):
+            pass
+
+        with use_backend("cext"):
+            sched = get_scheduler("heft").run(
+                lu_graph(4), paper_platform, CustomOnePort(paper_platform)
+            )
+        assert sched.state_impl == "flat-python"
 
 
 # ----------------------------------------------------------------------
@@ -331,7 +385,8 @@ class TestCextGracefulDegradation:
 
     def test_backend_still_registered(self, no_extension):
         assert "cext" in available_backends()
-        assert get_backend("cext").state_class() is None
+        model = OnePortModel(Platform.homogeneous(2))
+        assert get_backend("cext").state_class(model) is None
 
     def test_falls_back_to_python_state_with_one_warning(
         self, no_extension, paper_platform, caplog

@@ -1,27 +1,16 @@
-"""Unit tests for the shared scheduler machinery (state, queue, registry).
-
-``state_cls`` parametrizes the behavioral tests over both
-implementations of the ``SchedulerState`` contract: the flat builder
-path (the default) and the retained object reference path.
-"""
+"""Unit tests for the shared scheduler machinery (state, queue, registry)."""
 
 import pytest
 
 from repro.core import ConfigurationError, Platform, SchedulingError, TaskGraph
 from repro.heuristics import available_schedulers, get_scheduler, make_model
 from repro.heuristics.base import ReadyQueue, SchedulerState
-from repro.heuristics.state_object import ObjectSchedulerState
 from repro.models import MacroDataflowModel, OnePortModel
 
 
 @pytest.fixture
 def platform():
     return Platform.homogeneous(2, cycle_time=1.0, link=1.0)
-
-
-@pytest.fixture(params=["flat", "object"])
-def state_cls(request):
-    return SchedulerState if request.param == "flat" else ObjectSchedulerState
 
 
 @pytest.fixture
@@ -50,28 +39,19 @@ class TestMakeModel:
 
 
 class TestSchedulerState:
-    def test_dispatch_picks_flat_path(self, vee, platform):
-        from repro.heuristics import force_object_state
+    def test_dispatch_asks_the_active_backend(self, vee, platform):
         from repro.kernel.backends import current_backend
-
-        # the flat class the active kernel backend asks for (None means
-        # the default pure-Python SchedulerState), so the assertion
-        # holds under REPRO_BACKEND=cext too
-        expected = current_backend().state_class() or SchedulerState
-        state = SchedulerState(vee, platform, OnePortModel(platform))
-        assert type(state) is expected
-        with force_object_state():
-            forced = SchedulerState(vee, platform, OnePortModel(platform))
-        assert type(forced) is ObjectSchedulerState
-
-    def test_routed_model_falls_back_to_object_path(self, vee, platform):
         from repro.models import RoutedOnePortModel
 
-        state = SchedulerState(vee, platform, RoutedOnePortModel(platform))
-        assert type(state) is ObjectSchedulerState
+        # the class the active kernel backend asks for (None means the
+        # default pure-Python SchedulerState), so the assertion holds
+        # under REPRO_BACKEND=cext too — for the routed model as well
+        for model in (OnePortModel(platform), RoutedOnePortModel(platform)):
+            expected = current_backend().state_class(model) or SchedulerState
+            assert type(SchedulerState(vee, platform, model)) is expected
 
-    def test_evaluate_does_not_mutate(self, vee, platform, state_cls):
-        state = state_cls(vee, platform, OnePortModel(platform))
+    def test_evaluate_does_not_mutate(self, vee, platform):
+        state = SchedulerState(vee, platform, OnePortModel(platform))
         state.schedule_on("a", 0)
         state.schedule_on("b", 1)
         before = len(state.schedule.comm_events)
@@ -83,16 +63,8 @@ class TestSchedulerState:
         state.commit(c0)
         assert state.schedule.finish_of("c") == c0.finish
 
-    def test_object_trial_leaves_ports_untouched(self, vee, platform):
-        state = ObjectSchedulerState(vee, platform, OnePortModel(platform))
-        state.schedule_on("a", 0)
-        state.schedule_on("b", 1)
-        state.evaluate("c", 0)
-        state.evaluate("c", 1)
-        assert state.comm.ports.send[1].is_empty()
-
-    def test_commit_books_everything(self, vee, platform, state_cls):
-        state = state_cls(vee, platform, OnePortModel(platform))
+    def test_commit_books_everything(self, vee, platform):
+        state = SchedulerState(vee, platform, OnePortModel(platform))
         state.schedule_on("a", 0)
         state.schedule_on("b", 1)
         cand = state.evaluate("c", 0)
@@ -101,44 +73,44 @@ class TestSchedulerState:
         assert any(e.src_proc == 1 for e in state.schedule.comm_events)
         assert state.schedule.is_complete()
 
-    def test_parents_info_requires_scheduled_parents(self, vee, platform, state_cls):
-        state = state_cls(vee, platform, OnePortModel(platform))
+    def test_parents_info_requires_scheduled_parents(self, vee, platform):
+        state = SchedulerState(vee, platform, OnePortModel(platform))
         with pytest.raises(SchedulingError, match="before its parent"):
             state.parents_info("c")
 
-    def test_parents_sorted_by_finish(self, vee, platform, state_cls):
-        state = state_cls(vee, platform, OnePortModel(platform))
+    def test_parents_sorted_by_finish(self, vee, platform):
+        state = SchedulerState(vee, platform, OnePortModel(platform))
         state.schedule_on("b", 1)  # finish 2
         state.schedule_on("a", 0)  # finish 1
         info = state.parents_info("c")
         assert [p[0] for p in info] == ["a", "b"]
 
-    def test_parent_procs(self, vee, platform, state_cls):
-        state = state_cls(vee, platform, OnePortModel(platform))
+    def test_parent_procs(self, vee, platform):
+        state = SchedulerState(vee, platform, OnePortModel(platform))
         state.schedule_on("a", 0)
         state.schedule_on("b", 1)
         assert state.parent_procs("c") == {0, 1}
 
-    def test_best_candidate_tie_goes_to_lowest_proc(self, platform, state_cls):
+    def test_best_candidate_tie_goes_to_lowest_proc(self, platform):
         g = TaskGraph()
         g.add_task("solo", 1.0)
-        state = state_cls(g, platform, OnePortModel(platform))
+        state = SchedulerState(g, platform, OnePortModel(platform))
         best = state.best_candidate("solo")
         assert best.proc == 0
 
-    def test_insertion_vs_append(self, platform, state_cls):
+    def test_insertion_vs_append(self, platform):
         g = TaskGraph()
         for v in ("w", "x", "y"):
             g.add_task(v, 2.0)
-        state = state_cls(g, platform, OnePortModel(platform))
+        state = SchedulerState(g, platform, OnePortModel(platform))
         state.compute[0].reserve(4.0, 8.0, "blocker")
         ins = state.evaluate("w", 0, insertion=True)
         app = state.evaluate("w", 0, insertion=False)
         assert ins.start == 0.0  # fills the [0, 4) gap
         assert app.start == 8.0
 
-    def test_snapshot_isolated(self, vee, platform, state_cls):
-        state = state_cls(vee, platform, OnePortModel(platform))
+    def test_snapshot_isolated(self, vee, platform):
+        state = SchedulerState(vee, platform, OnePortModel(platform))
         state.schedule_on("a", 0)
         snap = state.snapshot()
         snap.schedule_on("b", 1)
@@ -154,10 +126,10 @@ class TestSchedulerState:
         assert c1.finish == snap.schedule.finish_of("c")
         assert state.schedule.is_complete()
 
-    def test_mark_restore_roundtrip(self, vee, platform, state_cls):
-        state = state_cls(vee, platform, OnePortModel(platform))
+    def test_mark_restore_roundtrip(self, vee, platform):
+        state = SchedulerState(vee, platform, OnePortModel(platform))
         state.schedule_on("a", 0)
-        reference = state_cls(vee, platform, OnePortModel(platform))
+        reference = SchedulerState(vee, platform, OnePortModel(platform))
         reference.schedule_on("a", 0)
         mark = state.mark()
         state.schedule_on("b", 1)

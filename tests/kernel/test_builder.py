@@ -1,16 +1,17 @@
 """Unit tests for the flat construction state (``repro.kernel.builder``).
 
-The gap-search primitives are checked against the object-level
-``Timeline`` as an oracle on randomized interval sets; the journal is
-checked to restore exact pre-mark state.
+The gap-search primitives are checked against the sorted-interval
+``Timeline`` oracle (``tests/timeline_oracle.py``) on randomized
+interval sets; the journal is checked to restore exact pre-mark state.
 """
 
 import random
 
 import pytest
 
+from timeline_oracle import Timeline, earliest_joint_fit
+
 from repro.core.exceptions import TimelineError
-from repro.core.timeline import Timeline, earliest_joint_fit
 from repro.kernel.builder import FlatBuilder, layered_next_fit, row_next_fit
 
 

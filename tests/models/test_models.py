@@ -1,118 +1,57 @@
-"""Unit tests for the communication models (macro-dataflow and one-port)."""
+"""Booking rules of the macro-dataflow and one-port models.
+
+Each case places zero-weight sources and their consumers through
+``SchedulerState.schedule_on`` and reads the committed transfer windows
+back from the schedule.
+"""
 
 import pytest
 
-from repro.core import Platform, Schedule, TaskGraph
+from repro.core import Platform, TaskGraph
+from repro.heuristics.base import SchedulerState
 from repro.models import MacroDataflowModel, OnePortModel
 
 
-@pytest.fixture
-def platform():
-    return Platform.homogeneous(3, cycle_time=1.0, link=2.0)
+def windows(model_cls, p, tasks, edges, placements, link=2.0):
+    """``(src_proc, dst_proc, start, finish)`` of every committed transfer."""
+    platform = Platform.homogeneous(p, cycle_time=1.0, link=link)
+    graph = TaskGraph.from_specs(tasks, edges)
+    state = SchedulerState(graph, platform, model_cls(platform))
+    for task, proc in placements:
+        state.schedule_on(task, proc)
+    return [(e.src_proc, e.dst_proc, e.start, e.finish) for e in state.schedule.comm_events]
 
 
-@pytest.fixture
-def graph():
-    g = TaskGraph()
-    g.add_task("u", 1.0)
-    g.add_task("v", 1.0)
-    g.add_dependency("u", "v", 3.0)
-    return g
+#: one zero-weight source feeding two consumers
+FORK = ([("u", 0.0), ("x", 1.0), ("y", 1.0)], [("u", "x", 3.0), ("u", "y", 3.0)])
+#: two zero-weight sources feeding one consumer
+JOIN = ([("u", 0.0), ("v", 0.0), ("w", 1.0)], [("u", "w", 3.0), ("v", "w", 3.0)])
 
 
 class TestMacroDataflow:
-    def test_local_edge_free(self, platform, graph):
-        state = MacroDataflowModel(platform).new_state()
-        trial = state.trial()
-        assert trial.edge_arrival("u", "v", 1, 1, 5.0, 3.0) == 5.0
+    def test_remote_edges_cost_data_times_link_without_contention(self):
+        got = windows(MacroDataflowModel, 3, *FORK, [("u", 0), ("x", 1), ("y", 2)])
+        assert got == [(0, 1, 0.0, 6.0), (0, 2, 0.0, 6.0)]
 
-    def test_remote_edge_costs_data_times_link(self, platform, graph):
-        trial = MacroDataflowModel(platform).new_state().trial()
-        assert trial.edge_arrival("u", "v", 0, 1, 5.0, 3.0) == 5.0 + 6.0
-
-    def test_no_contention_between_trials(self, platform):
-        state = MacroDataflowModel(platform).new_state()
-        t1 = state.trial()
-        t2 = state.trial()
-        # identical transfers at identical times: both start immediately
-        assert t1.edge_arrival("u", "v", 0, 1, 0.0, 3.0) == 6.0
-        assert t2.edge_arrival("u", "v", 0, 1, 0.0, 3.0) == 6.0
-
-    def test_commit_records_events(self, platform, graph):
-        state = MacroDataflowModel(platform).new_state()
-        trial = state.trial()
-        trial.edge_arrival("u", "v", 0, 1, 5.0, 3.0)
-        sched = Schedule(graph, platform, model="macro-dataflow")
-        trial.commit(sched)
-        assert len(sched.comm_events) == 1
-        assert sched.comm_events[0].start == 5.0
-        assert sched.comm_events[0].duration == 6.0
-
-    def test_commit_idempotent_after_clear(self, platform, graph):
-        state = MacroDataflowModel(platform).new_state()
-        trial = state.trial()
-        trial.edge_arrival("u", "v", 0, 1, 5.0, 3.0)
-        sched = Schedule(graph, platform, model="macro-dataflow")
-        trial.commit(sched)
-        trial.commit(sched)  # pending cleared: no duplicates
-        assert len(sched.comm_events) == 1
+    def test_local_edge_free(self):
+        assert windows(MacroDataflowModel, 3, *FORK, [("u", 1), ("x", 1), ("y", 1)]) == []
 
 
 class TestOnePort:
-    def test_serializes_same_sender(self, platform):
-        state = OnePortModel(platform).new_state()
-        trial = state.trial()
-        a1 = trial.edge_arrival("u", "x", 0, 1, 0.0, 3.0)
-        a2 = trial.edge_arrival("u", "y", 0, 2, 0.0, 3.0)
-        assert a1 == 6.0
-        assert a2 == 12.0  # second message waits for the send port
+    def test_serializes_same_sender(self):
+        got = windows(OnePortModel, 3, *FORK, [("u", 0), ("x", 1), ("y", 2)])
+        assert got == [(0, 1, 0.0, 6.0), (0, 2, 6.0, 12.0)]
 
-    def test_serializes_same_receiver(self, platform):
-        state = OnePortModel(platform).new_state()
-        trial = state.trial()
-        a1 = trial.edge_arrival("u", "w", 0, 2, 0.0, 3.0)
-        a2 = trial.edge_arrival("v", "w", 1, 2, 0.0, 3.0)
-        assert a1 == 6.0
-        assert a2 == 12.0  # receive port of P2 busy
+    def test_serializes_same_receiver(self):
+        got = windows(OnePortModel, 3, *JOIN, [("u", 0), ("v", 1), ("w", 2)])
+        assert got == [(0, 2, 0.0, 6.0), (1, 2, 6.0, 12.0)]
 
-    def test_disjoint_pairs_parallel(self, platform):
-        plat4 = Platform.homogeneous(4, cycle_time=1.0, link=2.0)
-        trial = OnePortModel(plat4).new_state().trial()
-        a1 = trial.edge_arrival("a", "b", 0, 1, 0.0, 3.0)
-        a2 = trial.edge_arrival("c", "d", 2, 3, 0.0, 3.0)
-        assert a1 == a2 == 6.0
+    def test_disjoint_pairs_parallel(self):
+        tasks = [("a", 0.0), ("b", 1.0), ("c", 0.0), ("d", 1.0)]
+        edges = [("a", "b", 3.0), ("c", "d", 3.0)]
+        got = windows(OnePortModel, 4, tasks, edges, [("a", 0), ("c", 2), ("b", 1), ("d", 3)])
+        assert got == [(0, 1, 0.0, 6.0), (2, 3, 0.0, 6.0)]
 
-    def test_trials_isolated_until_commit(self, platform, graph):
-        state = OnePortModel(platform).new_state()
-        t1 = state.trial()
-        t1.edge_arrival("u", "v", 0, 1, 0.0, 3.0)
-        # discarded: a new trial starts from a clean port state
-        t2 = state.trial()
-        assert t2.edge_arrival("u", "v", 0, 1, 0.0, 3.0) == 6.0
-
-    def test_commit_persists_port_state(self, platform, graph):
-        state = OnePortModel(platform).new_state()
-        t1 = state.trial()
-        t1.edge_arrival("u", "v", 0, 1, 0.0, 3.0)
-        sched = Schedule(graph, platform, model="one-port")
-        t1.commit(sched)
-        t2 = state.trial()
-        assert t2.edge_arrival("u", "v", 0, 1, 0.0, 3.0) == 12.0
-
-    def test_copy_isolates_state(self, platform, graph):
-        state = OnePortModel(platform).new_state()
-        dup = state.copy()
-        t = state.trial()
-        t.edge_arrival("u", "v", 0, 1, 0.0, 3.0)
-        t.commit(Schedule(graph, platform, model="one-port"))
-        fresh = dup.trial()
-        assert fresh.edge_arrival("u", "v", 0, 1, 0.0, 3.0) == 6.0
-
-    def test_local_edge_books_nothing(self, platform, graph):
-        state = OnePortModel(platform).new_state()
-        trial = state.trial()
-        assert trial.edge_arrival("u", "v", 1, 1, 4.0, 3.0) == 4.0
-        sched = Schedule(graph, platform, model="one-port")
-        trial.commit(sched)
-        assert sched.comm_events == []
-        assert state.ports.send[1].is_empty()
+    @pytest.mark.parametrize("model_cls", [MacroDataflowModel, OnePortModel])
+    def test_local_edge_books_nothing(self, model_cls):
+        assert windows(model_cls, 3, *JOIN, [("u", 2), ("v", 2), ("w", 2)]) == []

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core import ConfigurationError, Platform
+from repro.core import ConfigurationError, Platform, TaskGraph
 from repro.models import (
-    CommunicationModel,
     MacroDataflowModel,
     NoOverlapOnePortModel,
     OnePortModel,
@@ -60,10 +59,13 @@ class TestRegistry:
         assert set(KNOWN_MODELS) == set(available_models())
         assert heuristics_make_model is make_model
 
-    def test_flat_capability_flags(self):
-        assert OnePortModel.supports_flat
-        assert MacroDataflowModel.supports_flat
-        assert UniPortModel.supports_flat
-        assert NoOverlapOnePortModel.supports_flat
-        assert not RoutedOnePortModel.supports_flat
-        assert not CommunicationModel.supports_flat
+    def test_every_model_has_a_flat_booker(self):
+        from repro.kernel import compile_statics
+        from repro.kernel.builder import FlatBuilder
+        from repro.models.base import FlatBooker
+
+        platform = Platform.homogeneous(2)
+        statics = compile_statics(TaskGraph.from_specs([("a", 1.0)], []), platform)
+        for name in available_models():
+            booker = make_model(platform, name).flat_booker(FlatBuilder(2), statics)
+            assert isinstance(booker, FlatBooker), name
